@@ -1,22 +1,23 @@
 """Conditional-independence deciders for constraint-based structure learning.
 
 A decider answers "is X_u independent of X_v given X_S?".  The data-driven
-decider caches one correlation matrix estimate and derives every partial
-correlation from it by submatrix inversion; the oracle decider reads
-d-separation off a known DAG.  Two exchangeable decision rules are provided:
-a fixed cutoff on |partial correlation| and the z-transform test, which are
-equivalent for a cutoff computed by :func:`gamma_threshold`.
+decider reads memoised partial correlations of one correlation matrix
+estimate; the oracle decider reads d-separation off a known DAG.  Two
+exchangeable decision rules are provided: a fixed cutoff on |partial
+correlation| and the z-transform test, which are equivalent for a cutoff
+computed by :func:`gamma_threshold`; the data-driven decider runs both as a
+cutoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .correlation import METHODS, Dataset, estimate_correlation_matrix, validate_correlation_matrix
+from .correlation import METHODS, Dataset, estimate_correlation_matrix
 from .graph import Dag, d_separated
-from .partial import NotPositiveDefiniteError, _inverse_partial
+from .partial import NotPositiveDefiniteError, PartialCorrelations
 
 __all__ = [
     "TestConfig",
@@ -184,9 +185,14 @@ class CiDecider:
     """Base conditional-independence decider.
 
     ``decide(u, v, s)`` returns True for independent, False for dependent,
-    and must be symmetric in (u, v).  ``max_cond_size`` is the largest usable
-    conditioning-set size (None for unbounded); skeleton search will not
-    query beyond it.  Noteworthy events are appended to ``warnings``.
+    and must be symmetric in (u, v).  ``first_independent(u, v, subsets)``
+    asks sorted conditioning sets of one size in order and returns the index
+    of the first one that separates u and v, or None; skeleton search calls
+    it once per pair, direction and level, and a subclass may answer it in
+    one batch.
+    ``max_cond_size`` is the largest usable conditioning-set size (None for
+    unbounded); skeleton search will not query beyond it.  Noteworthy events
+    are appended to ``warnings``.
     """
 
     max_cond_size: int | None = None
@@ -197,45 +203,64 @@ class CiDecider:
     def decide(self, u: int, v: int, s: tuple[int, ...]) -> bool:
         raise NotImplementedError
 
+    def first_independent(self, u: int, v: int, subsets: Sequence[tuple[int, ...]]) -> int | None:
+        for i, s in enumerate(subsets):
+            if self.decide(u, v, s):
+                return i
+        return None
+
 
 class RankCiDecider(CiDecider):
-    """Decider backed by one cached correlation-matrix estimate.
+    """Decider backed by the partial correlations of one correlation matrix.
 
-    Partial correlations come from submatrix inversion.  A submatrix that is
-    not positive definite yields a 'dependent' answer and a warning rather
-    than an exception, so a run on badly conditioned estimates degrades to
-    keeping edges instead of crashing.
+    ``sigma`` is a correlation matrix or a :class:`PartialCorrelations` over
+    one; passing the same instance to several deciders shares its memo.  Both
+    variants decide |r| <= gamma at each level, with the fisher_z cutoff from
+    :func:`gamma_threshold`.  A submatrix that is not positive definite yields
+    a 'dependent' answer and a warning rather than an exception, so a run on
+    badly conditioned estimates degrades to keeping edges instead of crashing.
     """
 
     def __init__(self, sigma, n: int, config: TestConfig):
         super().__init__()
         if config.variant == "oracle":
             raise ValueError("oracle variant has no data-driven decider")
-        self.sigma = validate_correlation_matrix(sigma)
+        self.partials = sigma if isinstance(sigma, PartialCorrelations) else PartialCorrelations(sigma)
+        self.sigma = self.partials.sigma
         self.n = int(n)
         self.config = config
+        self._gammas: dict[int, float] = {}
         if config.variant == "fisher_z":
             self.max_cond_size = self.n - 4
-            self._crit = inverse_normal_cdf(1.0 - config.alpha / 2.0)
+            self._z = 2.0 * inverse_normal_cdf(1.0 - config.alpha / 2.0)
         else:
             self.max_cond_size = None
-            self._crit = None
+
+    def _gamma(self, level: int) -> float:
+        gamma = self._gammas.get(level)
+        if gamma is None:
+            if self.config.variant == "threshold":
+                gamma = self.config.gamma
+            else:
+                gamma = gamma_threshold(self.n, level, self._z)
+            self._gammas[level] = gamma
+        return gamma
+
+    def first_independent(self, u: int, v: int, subsets: Sequence[tuple[int, ...]]) -> int | None:
+        if not subsets:
+            return None
+        a, b = (u, v) if u < v else (v, u)
+        gamma = self._gamma(len(subsets[0]))
+        for i, r in enumerate(self.partials.batch(a, b, subsets)):
+            if abs(r) <= gamma:
+                return i
+            if math.isnan(r):
+                err = NotPositiveDefiniteError((a, b) + subsets[i])
+                self.warnings.append(f"dependent by default for ({u}, {v} | {subsets[i]}): {err}")
+        return None
 
     def decide(self, u: int, v: int, s: Iterable[int] = ()) -> bool:
-        a, b = (u, v) if u < v else (v, u)
-        cond = tuple(sorted(s))
-        try:
-            r = _inverse_partial(self.sigma, (a, b) + cond)
-        except NotPositiveDefiniteError as err:
-            self.warnings.append(f"dependent by default for ({u}, {v} | {cond}): {err}")
-            return False
-        if self.config.variant == "threshold":
-            return threshold_decide(r, self.config.gamma)
-        if abs(r) >= 1.0:
-            return False  # the z statistic is infinite
-        m = self.n - len(cond) - 3
-        stat = math.sqrt(m) * abs(0.5 * math.log((1.0 + r) / (1.0 - r)))
-        return stat <= self._crit
+        return self.first_independent(u, v, [tuple(sorted(s))]) is not None
 
 
 class OracleDecider(CiDecider):

@@ -2,9 +2,10 @@
 
 One replicate draws a random DAG and weights, samples a dataset under the
 configured regime, then runs PC once per (method, alpha) on a correlation
-matrix estimated a single time per method.  Output is a flat records table
-plus a per-cell summary at the best alpha (lowest mean structural distance,
-ties resolved toward the smaller alpha).
+matrix estimated a single time per method; the alphas share its memoised
+partial correlations.  Output is a flat records table plus a per-cell
+summary at the best alpha (lowest mean structural distance, ties resolved
+toward the smaller alpha).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .citest import RankCiDecider, TestConfig
 from .correlation import METHODS, estimate_correlation_matrix
 from .graph import cpdag, shd
+from .partial import PartialCorrelations
 from .pc import run_pc
 from .simulate import SemModel, derive_seed, random_dag, random_weights, sample_sem
 
@@ -115,18 +117,31 @@ class ExperimentConfig:
             raise ConfigError(f"max_cond must be nonnegative, got {self.max_cond}")
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split())
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split())
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(text.split())
+
+
 _REQUIRED_KEYS = ("p", "n", "degree")
-_ALL_KEYS = (
-    "p",
-    "n",
-    "degree",
-    "regimes",
-    "methods",
-    "alpha_log10",
-    "replicates",
-    "seed",
-    "max_cond",
-)
+# config key -> (ExperimentConfig field, parser, what the value must be)
+_KEYS = {
+    "p": ("p_values", _ints, "a list of integers"),
+    "n": ("n_values", _ints, "a list of integers"),
+    "degree": ("degree", float, "a number"),
+    "regimes": ("regimes", _names, "a list of names"),
+    "methods": ("methods", _names, "a list of names"),
+    "alpha_log10": ("alpha_log10", _floats, "a list of numbers"),
+    "replicates": ("replicates", int, "an integer"),
+    "seed": ("seed", int, "an integer"),
+    "max_cond": ("max_cond", int, "an integer"),
+}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -143,51 +158,19 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if sections != ["experiment"]:
         raise ConfigError(f"expected exactly one [experiment] section, got {sections}")
     section = parser["experiment"]
-    unknown = sorted(set(section) - set(_ALL_KEYS))
+    unknown = sorted(set(section) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     missing = [k for k in _REQUIRED_KEYS if k not in section]
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
-
-    def _ints(key: str) -> tuple[int, ...]:
-        try:
-            return tuple(int(tok) for tok in section[key].split())
-        except ValueError:
-            raise ConfigError(f"key {key!r} must be a list of integers") from None
-
-    def _floats(key: str) -> tuple[float, ...]:
-        try:
-            return tuple(float(tok) for tok in section[key].split())
-        except ValueError:
-            raise ConfigError(f"key {key!r} must be a list of numbers") from None
-
-    kwargs: dict = {"p_values": _ints("p"), "n_values": _ints("n")}
-    try:
-        kwargs["degree"] = float(section["degree"])
-    except ValueError:
-        raise ConfigError("key 'degree' must be a number") from None
-    if "regimes" in section:
-        kwargs["regimes"] = tuple(section["regimes"].split())
-    if "methods" in section:
-        kwargs["methods"] = tuple(section["methods"].split())
-    if "alpha_log10" in section:
-        kwargs["alpha_log10"] = _floats("alpha_log10")
-    if "replicates" in section:
-        try:
-            kwargs["replicates"] = int(section["replicates"])
-        except ValueError:
-            raise ConfigError("key 'replicates' must be an integer") from None
-    if "seed" in section:
-        try:
-            kwargs["seed"] = int(section["seed"])
-        except ValueError:
-            raise ConfigError("key 'seed' must be an integer") from None
-    if "max_cond" in section:
-        try:
-            kwargs["max_cond"] = int(section["max_cond"])
-        except ValueError:
-            raise ConfigError("key 'max_cond' must be an integer") from None
+    kwargs: dict = {}
+    for key, (field, parse, kind) in _KEYS.items():
+        if key in section:
+            try:
+                kwargs[field] = parse(section[key])
+            except ValueError:
+                raise ConfigError(f"key {key!r} must be {kind}") from None
     return ExperimentConfig(**kwargs)
 
 
@@ -243,7 +226,7 @@ def _run_replicate(args) -> tuple[list[ExperimentRecord], list[str]]:
         return records, failures
     for method in config.methods:
         try:
-            sigma = estimate_correlation_matrix(data, method)
+            partials = PartialCorrelations(estimate_correlation_matrix(data, method))
         except Exception as err:
             failures.append(f"{where} method={method}: estimation failed: {err}")
             continue
@@ -251,7 +234,7 @@ def _run_replicate(args) -> tuple[list[ExperimentRecord], list[str]]:
             alpha = 10.0**log_alpha
             try:
                 decider = RankCiDecider(
-                    sigma, n, TestConfig("fisher_z", method=method, alpha=alpha)
+                    partials, n, TestConfig("fisher_z", method=method, alpha=alpha)
                 )
                 t0 = perf_counter()
                 result = run_pc(decider, p, max_cond=config.max_cond)

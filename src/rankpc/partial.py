@@ -1,11 +1,13 @@
 """Partial correlations and the conditioning quantities behind the error bound.
 
 Two independent routes compute the same partial correlation: a recursion that
-eliminates one conditioning variable at a time, and direct inversion of the
-relevant principal submatrix.  The conditioning functionals (smallest nonzero
-partial correlation, smallest submatrix eigenvalue) feed the closed-form
-bound on the probability that rank-based structure learning returns a wrong
-equivalence class.
+eliminates one conditioning variable at a time, and a Cholesky factorization
+of the relevant principal submatrix.  The factorization route is batched over
+many conditioning sets of one size and memoised per correlation matrix by
+:class:`PartialCorrelations`, which the data-driven CI decider reads.  The
+conditioning functionals (smallest nonzero partial correlation, smallest
+submatrix eigenvalue) feed the closed-form bound on the probability that
+rank-based structure learning returns a wrong equivalence class.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .correlation import validate_correlation_matrix
 
@@ -25,6 +26,8 @@ __all__ = [
     "DegenerateCorrelationError",
     "partial_corr_recursive",
     "partial_corr_inverse",
+    "partial_corr_batch",
+    "PartialCorrelations",
     "min_nonzero_partial_corr",
     "min_submatrix_eigenvalue",
     "BoundInputs",
@@ -102,25 +105,67 @@ def partial_corr_recursive(sigma, u: int, v: int, s: Iterable[int] = ()) -> floa
     return rec(u, v, cond)
 
 
-def _inverse_partial(mat: np.ndarray, idx: tuple[int, ...]) -> float:
-    """Partial correlation of idx[0], idx[1] given the rest, via Cholesky."""
-    sub = mat[np.ix_(idx, idx)]
+def _index_rows(a: int, b: int, conds: Sequence[tuple[int, ...]]) -> np.ndarray:
+    idx = np.empty((len(conds), len(conds[0]) + 2), dtype=np.intp)
+    idx[:, :-2] = conds
+    idx[:, -2] = a
+    idx[:, -1] = b
+    return idx
+
+
+def partial_corr_batch(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """r(a, b | S) for every row S + (a, b) of ``idx``, one stacked Cholesky for all.
+
+    ``mat`` is a validated correlation matrix and ``idx`` a (k, |S| + 2)
+    integer array without repeats in a row.  With L the Cholesky factor of a
+    row's submatrix, L[-1, -2] / hypot(L[-1, -2], L[-1, -1]) is its partial
+    correlation.  Rows whose submatrix is not positive definite give NaN: when
+    the stacked factorization fails, each half of the batch is redone on its
+    own until the failing rows are single.
+    """
     try:
-        chol = np.linalg.cholesky(sub)
+        chol = np.linalg.cholesky(mat[idx[:, :, None], idx[:, None, :]])
     except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(idx) from None
-    rhs = np.zeros((len(idx), 2))
-    rhs[0, 0] = 1.0
-    rhs[1, 1] = 1.0
-    w = solve_triangular(chol, rhs, lower=True, check_finite=False)
-    prec_uu = float(w[:, 0] @ w[:, 0])
-    prec_vv = float(w[:, 1] @ w[:, 1])
-    prec_uv = float(w[:, 0] @ w[:, 1])
-    return -prec_uv / math.sqrt(prec_uu * prec_vv)
+        if len(idx) == 1:
+            return np.array([math.nan])
+        half = len(idx) // 2
+        return np.concatenate([partial_corr_batch(mat, idx[:half]), partial_corr_batch(mat, idx[half:])])
+    x, y = chol[:, -1, -2], chol[:, -1, -1]
+    return x / np.hypot(x, y)
+
+
+class PartialCorrelations:
+    """Memoised r(a, b | S) over one correlation matrix, validated once.
+
+    Deciders at different significance levels ask largely the same queries,
+    so sharing one instance between them computes each partial correlation
+    once.  Every r(a, b | {}) is computed up front in one batch, since skeleton
+    search asks them all.  A NaN value marks a submatrix that is not positive
+    definite.
+    """
+
+    def __init__(self, sigma):
+        self.sigma = validate_correlation_matrix(sigma)
+        p = self.sigma.shape[0]
+        pairs = np.stack(np.triu_indices(p, 1), axis=1)
+        self._marginal = np.full((p, p), math.nan)
+        self._marginal[pairs[:, 0], pairs[:, 1]] = partial_corr_batch(self.sigma, pairs)
+        self._memo: dict[tuple[int, int], dict[tuple[int, ...], float]] = {}
+
+    def batch(self, a: int, b: int, conds: Sequence[tuple[int, ...]]) -> list[float]:
+        """r(a, b | S) for each S in ``conds``; needs a < b, each S sorted, all of one size."""
+        if not conds[0]:
+            return [self._marginal[a, b]] * len(conds)
+        known = self._memo.setdefault((a, b), {})
+        missing = [c for c in conds if c not in known]
+        if missing:
+            values = partial_corr_batch(self.sigma, _index_rows(a, b, missing))
+            known.update(zip(missing, values.tolist()))
+        return list(map(known.__getitem__, conds))
 
 
 def partial_corr_inverse(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:
-    """Partial correlation from the inverse of the (u, v, S) principal submatrix.
+    """Partial correlation from the Cholesky factor of the (S, u, v) principal submatrix.
 
     Raises :class:`NotPositiveDefiniteError` (carrying the index set) when the
     submatrix has no Cholesky factorization; no regularization is applied.
@@ -128,7 +173,10 @@ def partial_corr_inverse(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:
     mat = validate_correlation_matrix(sigma)
     cond = _conditioning_tuple(u, v, s, mat.shape[0])
     a, b = (u, v) if u < v else (v, u)
-    return _inverse_partial(mat, (a, b) + cond)
+    r = float(partial_corr_batch(mat, _index_rows(a, b, [cond]))[0])
+    if math.isnan(r):
+        raise NotPositiveDefiniteError((a, b) + cond)
+    return r
 
 
 def min_nonzero_partial_corr(sigma, q: int | None = None, zero_tol: float = ZERO_TOL):
@@ -153,10 +201,14 @@ def min_nonzero_partial_corr(sigma, q: int | None = None, zero_tol: float = ZERO
         for v in range(u + 1, p):
             others = [w for w in range(p) if w != u and w != v]
             for size in range(0, q - 1):
-                for cond in combinations(others, size):
-                    val = abs(_inverse_partial(mat, (u, v) + cond))
-                    if val > zero_tol and (best is None or val < best):
-                        best = val
+                conds = list(combinations(others, size))
+                vals = np.abs(partial_corr_batch(mat, _index_rows(u, v, conds)))
+                bad = np.flatnonzero(np.isnan(vals))
+                if bad.size:
+                    raise NotPositiveDefiniteError((u, v) + conds[bad[0]])
+                nonzero = vals[vals > zero_tol]
+                if nonzero.size and (best is None or nonzero.min() < best):
+                    best = float(nonzero.min())
     return best
 
 

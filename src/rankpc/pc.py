@@ -57,7 +57,9 @@ def pc_skeleton(
 
     At level l, each still-adjacent pair (u, v) is tested against every
     size-l subset of adj(u) - {v}, then of adj(v) - {u}, until some query
-    reports independence; the first separating set found is recorded.  Pairs
+    reports independence; the first separating set found is recorded.  Each
+    (pair, direction, level) is one ``decider.first_independent`` call, and
+    ``tests_run`` counts the subsets up to the first independent one.  Pairs
     are processed in lexicographic order and candidate subsets in
     lexicographic order over the sorted neighbor list, so runs are
     deterministic.  By default adjacency sets shrink as edges fall during a
@@ -90,24 +92,22 @@ def pc_skeleton(
         for u, v in pairs:
             if v not in adj[u]:
                 continue  # dropped earlier in this level
-            removed = False
             for a, b in ((u, v), (v, u)):
                 nbrs = frozen[a] if stable else sorted(adj[a])
                 cands = [x for x in nbrs if x != b]
                 if len(cands) < level:
                     continue
-                for s in combinations(cands, level):
-                    tests_run += 1
-                    if level > max_used:
-                        max_used = level
-                    if decider.decide(u, v, s):
-                        adj[u].discard(v)
-                        adj[v].discard(u)
-                        sepsets[(u, v)] = tuple(s)
-                        removed = True
-                        break
-                if removed:
-                    break
+                subsets = list(combinations(cands, level))
+                max_used = max(max_used, level)
+                i = decider.first_independent(u, v, subsets)
+                if i is None:
+                    tests_run += len(subsets)
+                    continue
+                tests_run += i + 1
+                adj[u].discard(v)
+                adj[v].discard(u)
+                sepsets[(u, v)] = subsets[i]
+                break
         level += 1
     edges = {(u, v) for u in range(p) for v in adj[u] if u < v}
     return SkeletonResult(p, edges, sepsets, tests_run, max_used)

@@ -1,10 +1,13 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from rankpc.citest import (
+    CiDecider,
     OracleDecider,
     RankCiDecider,
     TestConfig,
@@ -152,18 +155,50 @@ def test_rank_decider_fisher_cond_cap():
     assert dec.max_cond_size == 26
 
 
+NONPD_BLOCK = np.array(
+    [
+        [1.0, 0.9, -0.9],
+        [0.9, 1.0, 0.9],
+        [-0.9, 0.9, 1.0],
+    ]
+)
+
+
 def test_rank_decider_nonpd_submatrix_is_dependent_with_warning():
-    sigma = np.array(
-        [
-            [1.0, 0.9, -0.9],
-            [0.9, 1.0, 0.9],
-            [-0.9, 0.9, 1.0],
-        ]
-    )
-    dec = RankCiDecider(sigma, 100, TestConfig("fisher_z", alpha=0.05))
+    dec = RankCiDecider(NONPD_BLOCK, 100, TestConfig("fisher_z", alpha=0.05))
     assert not dec.decide(0, 1, (2,))
     assert len(dec.warnings) == 1
     assert "dependent by default" in dec.warnings[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(3, 7),
+    level=st.integers(0, 3),
+    nonpd=st.booleans(),
+    variant=st.sampled_from(["fisher_z", "threshold"]),
+    n=st.integers(20, 1000),
+    cutoff=st.floats(0.0, 1.0),
+)
+def test_first_independent_matches_decide_loop(seed, p, level, nonpd, variant, n, cutoff):
+    rng = np.random.default_rng(seed)
+    sigma = random_correlation(rng, p)
+    if nonpd:
+        sigma[:3, :3] = NONPD_BLOCK  # the block test_run_pc_propagates_decider_warnings uses
+    u, v = (int(x) for x in rng.choice(p, size=2, replace=False))
+    cands = [w for w in range(p) if w not in (u, v)]
+    subsets = list(combinations(cands, min(level, len(cands))))
+    if variant == "fisher_z":
+        config = TestConfig("fisher_z", alpha=10.0 ** (-7.0 * cutoff - 0.5))
+    else:
+        config = TestConfig("threshold", gamma=cutoff)
+    batched = RankCiDecider(sigma, n, config)
+    looped = RankCiDecider(sigma, n, config)
+    for _ in range(2):  # the second round is answered from the memo
+        want = CiDecider.first_independent(looped, u, v, subsets)
+        assert batched.first_independent(u, v, subsets) == want
+        assert batched.warnings == looped.warnings
 
 
 def test_rank_decider_unit_correlation_is_dependent():

@@ -108,10 +108,18 @@ def test_parse_config_rejects_unknown_and_missing():
         parse_config_text("[other]\np = 10\nn = 100\ndegree = 3\n")
     with pytest.raises(ConfigError):
         parse_config_text("p = 10\nn = 100\ndegree = 3\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="key 'p' must be a list of integers"):
         parse_config_text("[experiment]\np = ten\nn = 100\ndegree = 3\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="key 'seed' must be an integer"):
         parse_config_text("[experiment]\np = 10\nn = 100\ndegree = 3\nseed = x\n")
+    with pytest.raises(ConfigError, match="key 'degree' must be a number"):
+        parse_config_text("[experiment]\np = 10\nn = 100\ndegree = d\n")
+    with pytest.raises(ConfigError, match="key 'alpha_log10' must be a list of numbers"):
+        parse_config_text("[experiment]\np = 10\nn = 100\ndegree = 3\nalpha_log10 = -1 q\n")
+    with pytest.raises(ConfigError, match="key 'replicates' must be an integer"):
+        parse_config_text("[experiment]\np = 10\nn = 100\ndegree = 3\nreplicates = 2 3\n")
+    with pytest.raises(ConfigError, match="key 'max_cond' must be an integer"):
+        parse_config_text("[experiment]\np = 10\nn = 100\ndegree = 3\nmax_cond = a\n")
 
 
 def test_load_config(tmp_path):
@@ -150,6 +158,22 @@ def test_run_experiment_threads_do_not_change_results():
     assert [strip(r) for r in one.records] == [strip(r) for r in two.records]
     with pytest.raises(ValueError):
         run_experiment(cfg, threads=0)
+
+
+def test_shared_partials_match_a_fresh_decider_per_alpha(monkeypatch):
+    cfg = mini_config(
+        replicates=2,
+        n_values=(100,),
+        methods=("pearson", "spearman", "kendall"),
+        alpha_log10=(-7.0, -3.5, -2.0, -1.0, -0.75),
+    )
+    shared = run_experiment(cfg)
+    # a plain matrix makes every RankCiDecider build its own memo
+    monkeypatch.setattr(experiment, "PartialCorrelations", np.asarray)
+    fresh = run_experiment(cfg)
+    strip = lambda r: dataclasses.replace(r, runtime_ms=0.0)
+    assert [strip(r) for r in shared.records] == [strip(r) for r in fresh.records]
+    assert shared.failures == fresh.failures == []
 
 
 def test_run_experiment_shd_within_coarse_bound():

@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .correlation import METHODS, Dataset, estimate_correlation_matrix
+from scipy.special import ndtri
+
+from .correlation import METHODS
 from .graph import Dag, d_separated
 from .partial import NotPositiveDefiniteError, PartialCorrelations
 
@@ -24,8 +26,6 @@ __all__ = [
     "CiDecider",
     "RankCiDecider",
     "OracleDecider",
-    "make_rank_ci_decider",
-    "make_oracle_decider",
     "threshold_decide",
     "fisher_z_decide",
     "gamma_threshold",
@@ -80,69 +80,11 @@ def threshold_decide(rho_hat: float, gamma: float) -> bool:
     return abs(rho_hat) <= gamma
 
 
-# Rational approximation regions and coefficients (Acklam's method).
-_P_LOW = 0.02425
-_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
 def inverse_normal_cdf(prob: float) -> float:
-    """Quantile of the standard normal distribution.
-
-    Rational approximation refined by one Halley step against the erfc-based
-    distribution function; absolute error is far below 1e-9.
-    """
+    """Quantile of the standard normal distribution."""
     if not 0.0 < prob < 1.0:
         raise ValueError(f"probability must lie strictly in (0, 1), got {prob}")
-    if prob < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(prob))
-        x = (
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    elif prob <= 1.0 - _P_LOW:
-        q = prob - 0.5
-        r = q * q
-        x = (
-            (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
-            * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - prob))
-        x = -(
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    # one Halley refinement
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - prob
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    return float(ndtri(prob))
 
 
 def fisher_z_decide(rho_hat: float, n: int, s_size: int, alpha: float) -> bool:
@@ -272,13 +214,3 @@ class OracleDecider(CiDecider):
 
     def decide(self, u: int, v: int, s: Iterable[int] = ()) -> bool:
         return d_separated(self.dag, u, v, s)
-
-
-def make_rank_ci_decider(data: Dataset, config: TestConfig) -> RankCiDecider:
-    """Estimate the correlation matrix once, then decide all queries from it."""
-    sigma = estimate_correlation_matrix(data, config.method)
-    return RankCiDecider(sigma, data.n, config)
-
-
-def make_oracle_decider(dag: Dag) -> OracleDecider:
-    return OracleDecider(dag)

@@ -126,55 +126,22 @@ def ranks(x, where: str = "") -> np.ndarray:
     return out
 
 
+def _pair_ranks(x, y) -> np.ndarray:
+    xa, ya, _ = _check_pair(x, y)
+    return np.column_stack((ranks(xa, "x"), ranks(ya, "y")))
+
+
 def spearman_rho(x, y) -> float:
-    """Spearman rank correlation via the squared rank-difference identity."""
-    xa, ya, n = _check_pair(x, y)
-    rx = ranks(xa, "x")
-    ry = ranks(ya, "y")
-    d = rx - ry
-    ssd = int(np.dot(d, d))
-    denom = n * (n * n - 1)
-    return 1.0 - 6.0 * ssd / denom
-
-
-def _merge_count(seq: list) -> tuple[list, int]:
-    n = len(seq)
-    if n <= 1:
-        return seq, 0
-    left, cl = _merge_count(seq[: n // 2])
-    right, cr = _merge_count(seq[n // 2 :])
-    merged = []
-    inv = cl + cr
-    i = j = 0
-    nl = len(left)
-    while i < nl and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            inv += nl - i
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged, inv
+    """Spearman rank correlation: the two-column case of the matrix kernel."""
+    return float(_spearman_rho_matrix(_pair_ranks(x, y))[0, 1])
 
 
 def kendall_tau(x, y) -> float:
-    """Kendall rank correlation, counting discordances by merge sort.
+    """Kendall rank correlation, exactly: the two-column case of the matrix kernel.
 
-    Equals the average of sign(x_i - x_j) * sign(y_i - y_j) over pairs i < j,
-    computed in O(n log n): after sorting by x, discordant pairs are exactly
-    the inversions of the y sequence.
+    Equals the average of sign(x_i - x_j) * sign(y_i - y_j) over pairs i < j.
     """
-    xa, ya, n = _check_pair(x, y)
-    rx = ranks(xa, "x")
-    ry = ranks(ya, "y")
-    order = np.argsort(rx)
-    seq = ry[order].tolist()
-    _, discordant = _merge_count(seq)
-    num = n * (n - 1) - 4 * discordant
-    return num / (n * (n - 1))
+    return float(_kendall_tau_matrix(_pair_ranks(x, y))[0, 1])
 
 
 def pearson(x, y) -> float:
@@ -238,6 +205,41 @@ def _rank_columns(data: Dataset) -> np.ndarray:
     return cols
 
 
+def _spearman_rho_matrix(rank_cols: np.ndarray) -> np.ndarray:
+    """Spearman rho of every column pair of an n x p rank matrix."""
+    n = rank_cols.shape[0]
+    r = rank_cols.astype(float)
+    cross = r.T @ r
+    sum_sq = n * (n + 1) * (2 * n + 1) / 6.0
+    ssd = 2.0 * sum_sq - 2.0 * cross
+    return 1.0 - 6.0 * ssd / (n * (n * n - 1))
+
+
+# Sign entries per block of the Kendall kernel (512 KiB of float32): enough
+# rows for BLAS to be efficient, few enough to keep peak memory flat.
+_KENDALL_BLOCK = 2**17
+
+
+def _kendall_tau_matrix(rank_cols: np.ndarray) -> np.ndarray:
+    """Kendall tau of every column pair of an n x p rank matrix, exactly.
+
+    Sums sign(R_i - R_j) sign(R_i - R_j)^T over all ordered row pairs, a
+    block of rows i at a time; the total is n(n-1) - 4 * discordant.  The
+    float32 arithmetic is exact while n < 2**24: ranks and their differences
+    are integers below 2**24, and each block's sums are integers bounded by
+    its number of row pairs, at most max(2**17, n).  The float64 total is an
+    integer below 2**53.
+    """
+    n, p = rank_cols.shape
+    r = rank_cols.astype(np.float32)
+    rows = max(1, _KENDALL_BLOCK // (n * p))
+    total = np.zeros((p, p))
+    for i in range(0, n, rows):
+        signs = np.sign(r[i : i + rows, None, :] - r[None, :, :]).reshape(-1, p)
+        total += signs.T @ signs
+    return total / (n * (n - 1))
+
+
 def _finish(mat: np.ndarray) -> np.ndarray:
     mat = (mat + mat.T) / 2.0
     mat = np.clip(mat, -1.0, 1.0)
@@ -256,7 +258,6 @@ def estimate_correlation_matrix(data: Dataset, method: str) -> np.ndarray:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if data.n < 2:
         raise ValueError(f"need at least 2 observations, got {data.n}")
-    n, p = data.n, data.p
     if method == "pearson":
         centered = data.values - data.values.mean(axis=0)
         norms = np.sqrt((centered * centered).sum(axis=0))
@@ -267,23 +268,8 @@ def estimate_correlation_matrix(data: Dataset, method: str) -> np.ndarray:
         return _finish(z.T @ z)
     rank_cols = _rank_columns(data)
     if method == "spearman":
-        r = rank_cols.astype(float)
-        cross = r.T @ r
-        sum_sq = n * (n + 1) * (2 * n + 1) / 6.0
-        ssd = 2.0 * sum_sq - 2.0 * cross
-        rho = 1.0 - 6.0 * ssd / (n * (n * n - 1))
-        return _finish(2.0 * np.sin(np.pi * rho / 6.0))
-    # kendall: one merge-sort discordance count per pair
-    orders = [np.argsort(rank_cols[:, j]) for j in range(p)]
-    out = np.eye(p)
-    denom = n * (n - 1)
-    for u in range(p):
-        for v in range(u + 1, p):
-            seq = rank_cols[orders[u], v].tolist()
-            _, discordant = _merge_count(seq)
-            tau = (denom - 4 * discordant) / denom
-            out[u, v] = out[v, u] = sine_transform_kendall(tau)
-    return _finish(out)
+        return _finish(2.0 * np.sin(np.pi * _spearman_rho_matrix(rank_cols) / 6.0))
+    return _finish(np.sin(np.pi * _kendall_tau_matrix(rank_cols) / 2.0))
 
 
 def validate_correlation_matrix(sigma, atol: float = 1e-8) -> np.ndarray:

@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .citest import CiDecider
-from .graph import EdgeState, Pdag, _meek_fixpoint, meek_closure
+from .graph import EdgeState, Pdag, _meek_fixpoint
 
 __all__ = [
     "SkeletonResult",
     "PcResult",
     "pc_skeleton",
     "orient_colliders",
-    "meek_closure",
     "run_pc",
     "pc_result_to_text",
 ]

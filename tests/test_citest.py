@@ -14,11 +14,9 @@ from rankpc.citest import (
     fisher_z_decide,
     gamma_threshold,
     inverse_normal_cdf,
-    make_oracle_decider,
-    make_rank_ci_decider,
     threshold_decide,
 )
-from rankpc.correlation import Dataset, estimate_correlation_matrix
+from rankpc.correlation import estimate_correlation_matrix
 from rankpc.graph import Dag, d_separated
 from rankpc.simulate import SemModel, random_dag, random_weights, sample_sem
 
@@ -212,19 +210,9 @@ def test_rank_decider_rejects_oracle_variant():
         RankCiDecider(np.eye(2), 100, TestConfig("oracle"))
 
 
-def test_make_rank_ci_decider_uses_estimated_matrix():
-    rng = np.random.default_rng(73)
-    data = Dataset(rng.standard_normal((80, 3)))
-    config = TestConfig("fisher_z", method="kendall", alpha=0.05)
-    dec = make_rank_ci_decider(data, config)
-    want = estimate_correlation_matrix(data, "kendall")
-    assert np.array_equal(dec.sigma, want)
-    assert dec.n == 80
-
-
 def test_oracle_decider_reads_the_dag():
     chain = Dag(3, [(0, 1), (1, 2)])
-    dec = make_oracle_decider(chain)
+    dec = OracleDecider(chain)
     assert not dec.decide(0, 2, ())
     assert dec.decide(0, 2, (1,))
     assert dec.max_cond_size is None
@@ -239,7 +227,11 @@ def test_data_decider_agreement_with_oracle_is_reported():
     weights = random_weights(dag, rng)
     model = SemModel(dag, weights, noise="standard_normal", transform="identity")
     data = sample_sem(model, 500, np.random.default_rng(101))
-    dec = make_rank_ci_decider(data, TestConfig("fisher_z", method="spearman", alpha=0.01))
+    dec = RankCiDecider(
+        estimate_correlation_matrix(data, "spearman"),
+        data.n,
+        TestConfig("fisher_z", method="spearman", alpha=0.01),
+    )
     oracle = OracleDecider(dag)
     agree = total = 0
     for u in range(6):

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 from rankpc.correlation import (
     Dataset,
     TieError,
+    _kendall_tau_matrix,
+    _rank_columns,
     estimate_correlation_matrix,
     estimation_tail_bound,
     kendall_tau,
@@ -225,6 +228,23 @@ def test_matrix_matches_pairwise_estimates():
             for v in range(u + 1, 5):
                 want = fn(data.column(u), data.column(v))
                 assert mat[u, v] == pytest.approx(want, abs=2e-15), (method, u, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 1000), p=st.integers(1, 6))
+@example(seed=0, n=1000, p=3)  # 24 blocks of rows, the last one partial
+@example(seed=1, n=2, p=1)
+def test_kendall_kernel_matches_naive_oracle(seed, n, p):
+    data = Dataset(np.random.default_rng(seed).standard_normal((n, p)))
+    tau = _kendall_tau_matrix(_rank_columns(data))
+    mat = estimate_correlation_matrix(data, "kendall")
+    if p == 1:
+        assert mat.tolist() == [[1.0]]
+    for u in range(p):
+        for v in range(u + 1, p):
+            want = naive_kendall(data.column(u), data.column(v))
+            assert tau[u, v] == tau[v, u] == want, (u, v)
+            assert abs(mat[u, v] - sine_transform_kendall(want)) <= 2e-15, (u, v)
 
 
 def test_matrix_frozen_two_column_example():

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
 from scipy.special import ndtri
 
 from .correlation import METHODS
@@ -40,8 +41,9 @@ class TestConfig:
     """Which decision rule to run and its parameters.
 
     variant 'threshold' uses ``gamma``; variant 'fisher_z' uses ``alpha``;
-    variant 'oracle' needs neither.  ``method`` picks the correlation
-    estimator feeding the data-driven decider.
+    variant 'oracle' needs neither.  ``method`` is a validated label naming
+    the correlation estimator; the decider ignores it and uses whatever
+    matrix it is handed.
     """
 
     __test__ = False  # not a test case despite the name
@@ -130,8 +132,9 @@ class CiDecider:
     and must be symmetric in (u, v).  ``first_independent(u, v, subsets)``
     asks sorted conditioning sets of one size in order and returns the index
     of the first one that separates u and v, or None; skeleton search calls
-    it once per pair, direction and level, and a subclass may answer it in
-    one batch.
+    it once per pair, direction and level >= 1, and a subclass may answer it
+    in one batch.  ``marginally_independent(pairs)`` answers level 0 for
+    every pair at once.
     ``max_cond_size`` is the largest usable conditioning-set size (None for
     unbounded); skeleton search will not query beyond it.  Noteworthy events
     are appended to ``warnings``.
@@ -150,6 +153,19 @@ class CiDecider:
             if self.decide(u, v, s):
                 return i
         return None
+
+    def marginally_independent(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
+        """Is u independent of v given nothing, for each pair (u, v) with u < v?
+
+        Asks ``first_independent(u, v, [()])`` once per pair, and once more
+        for a dependent pair: skeleton search asks a pair that stays adjacent
+        from both of its sides.
+        """
+        return [
+            self.first_independent(u, v, [()]) is not None
+            or self.first_independent(u, v, [()]) is not None
+            for u, v in pairs
+        ]
 
 
 class RankCiDecider(CiDecider):
@@ -192,7 +208,9 @@ class RankCiDecider(CiDecider):
         if not subsets:
             return None
         a, b = (u, v) if u < v else (v, u)
-        gamma = self._gamma(len(subsets[0]))
+        gamma = self._gammas.get(len(subsets[0]))
+        if gamma is None:
+            gamma = self._gamma(len(subsets[0]))
         for i, r in enumerate(self.partials.batch(a, b, subsets)):
             if abs(r) <= gamma:
                 return i
@@ -200,6 +218,15 @@ class RankCiDecider(CiDecider):
                 err = NotPositiveDefiniteError((a, b) + subsets[i])
                 self.warnings.append(f"dependent by default for ({u}, {v} | {subsets[i]}): {err}")
         return None
+
+    def marginally_independent(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
+        rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        r = self.partials.marginal[rows[:, 0], rows[:, 1]]
+        for k in np.flatnonzero(np.isnan(r)):
+            u, v = pairs[k]
+            warning = f"dependent by default for ({u}, {v} | ()): {NotPositiveDefiniteError((u, v))}"
+            self.warnings += [warning, warning]  # asked from both sides, as a kept pair is
+        return (np.abs(r) <= self._gamma(0)).tolist()
 
     def decide(self, u: int, v: int, s: Iterable[int] = ()) -> bool:
         return self.first_independent(u, v, [tuple(sorted(s))]) is not None

@@ -223,21 +223,28 @@ _KENDALL_BLOCK = 2**17
 def _kendall_tau_matrix(rank_cols: np.ndarray) -> np.ndarray:
     """Kendall tau of every column pair of an n x p rank matrix, exactly.
 
-    Sums sign(R_i - R_j) sign(R_i - R_j)^T over all ordered row pairs, a
-    block of rows i at a time; the total is n(n-1) - 4 * discordant.  The
-    float32 arithmetic is exact while n < 2**24: ranks and their differences
-    are integers below 2**24, and each block's sums are integers bounded by
-    its number of row pairs, at most max(2**17, n).  The float64 total is an
-    integer below 2**53.
+    Sums sign(R_i - R_j) sign(R_i - R_j)^T over the row pairs i < j, a block
+    of rows i at a time against the rows after i, and doubles the sum: the
+    total is n(n-1) - 4 * discordant.  A block of rows starting at i holds
+    about ``_KENDALL_BLOCK`` sign entries, at least one row of n - i - 1
+    pairs.  The float32 arithmetic is exact while n < 2**24: ranks and their
+    differences are integers below 2**24, and each block's sums are integers
+    bounded by its number of row pairs, at most max(2**17, n).  The float64
+    total is an integer below 2**53.
     """
     n, p = rank_cols.shape
     r = rank_cols.astype(np.float32)
-    rows = max(1, _KENDALL_BLOCK // (n * p))
     total = np.zeros((p, p))
-    for i in range(0, n, rows):
-        signs = np.sign(r[i : i + rows, None, :] - r[None, :, :]).reshape(-1, p)
+    i = 0
+    while i < n - 1:
+        rows = min(n - 1 - i, max(1, _KENDALL_BLOCK // ((n - i) * p)))
+        # row i + k against rows i + 1 + m; the pairs with m < k are not later
+        signs = np.sign(r[i : i + rows, None, :] - r[None, i + 1 :, :])
+        signs[np.tril_indices(rows, -1)] = 0.0
+        signs = signs.reshape(-1, p)
         total += signs.T @ signs
-    return total / (n * (n - 1))
+        i += rows
+    return 2.0 * total / (n * (n - 1))
 
 
 def _finish(mat: np.ndarray) -> np.ndarray:

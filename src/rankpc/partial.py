@@ -140,28 +140,34 @@ class PartialCorrelations:
     Deciders at different significance levels ask largely the same queries,
     so sharing one instance between them computes each partial correlation
     once.  Every r(a, b | {}) is computed up front in one batch, since skeleton
-    search asks them all.  A NaN value marks a submatrix that is not positive
-    definite.
+    search asks them all; ``marginal[a, b]`` holds it for a < b.  A NaN value
+    marks a submatrix that is not positive definite.
     """
 
     def __init__(self, sigma):
         self.sigma = validate_correlation_matrix(sigma)
         p = self.sigma.shape[0]
         pairs = np.stack(np.triu_indices(p, 1), axis=1)
-        self._marginal = np.full((p, p), math.nan)
-        self._marginal[pairs[:, 0], pairs[:, 1]] = partial_corr_batch(self.sigma, pairs)
+        self.marginal = np.full((p, p), math.nan)
+        self.marginal[pairs[:, 0], pairs[:, 1]] = partial_corr_batch(self.sigma, pairs)
         self._memo: dict[tuple[int, int], dict[tuple[int, ...], float]] = {}
 
     def batch(self, a: int, b: int, conds: Sequence[tuple[int, ...]]) -> list[float]:
         """r(a, b | S) for each S in ``conds``; needs a < b, each S sorted, all of one size."""
         if not conds[0]:
-            return [self._marginal[a, b]] * len(conds)
-        known = self._memo.setdefault((a, b), {})
+            return [self.marginal[a, b]] * len(conds)
+        known = self._memo.get((a, b))
+        if known is None:
+            known = self._memo[(a, b)] = {}
+        else:
+            try:
+                return [known[c] for c in conds]
+            except KeyError:
+                pass
         missing = [c for c in conds if c not in known]
-        if missing:
-            values = partial_corr_batch(self.sigma, _index_rows(a, b, missing))
-            known.update(zip(missing, values.tolist()))
-        return list(map(known.__getitem__, conds))
+        values = partial_corr_batch(self.sigma, _index_rows(a, b, missing))
+        known.update(zip(missing, values.tolist()))
+        return [known[c] for c in conds]
 
 
 def partial_corr_inverse(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:

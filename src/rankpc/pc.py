@@ -54,7 +54,13 @@ def pc_skeleton(
 ) -> SkeletonResult:
     """Prune a complete graph by level-wise independence queries.
 
-    At level l, each still-adjacent pair (u, v) is tested against every
+    Level 0 tests every pair marginally in one
+    ``decider.marginally_independent`` call; it needs no conditioning set,
+    so its answers do not depend on the order of the pairs.  A pair that
+    stays adjacent counts as asked from both sides, so it adds 2 to
+    ``tests_run`` and a removed pair adds 1.
+
+    At level l >= 1, each still-adjacent pair (u, v) is tested against every
     size-l subset of adj(u) - {v}, then of adj(v) - {u}, until some query
     reports independence; the first separating set found is recorded.  Each
     (pair, direction, level) is one ``decider.first_independent`` call, and
@@ -72,43 +78,50 @@ def pc_skeleton(
         raise ValueError(f"node count must be positive, got {p}")
     if max_cond is not None and max_cond < 0:
         raise ValueError(f"max_cond must be nonnegative, got {max_cond}")
-    adj: list[set[int]] = [set(range(p)) - {i} for i in range(p)]
+    caps = [c for c in (max_cond, decider.max_cond_size) if c is not None]
+    ceiling = min(caps) if caps else None
+    pairs = list(combinations(range(p), 2))
+    if not pairs or (ceiling is not None and ceiling < 0):
+        return SkeletonResult(p, set(pairs), {}, 0, -1)
+    # nbrs[x] is the sorted list of x's neighbours: the pairs are visited in
+    # lexicographic order, so each list is appended to in increasing order.
+    nbrs: list[list[int]] = [[] for _ in range(p)]
     sepsets: dict[tuple[int, int], tuple[int, ...]] = {}
     tests_run = 0
-    max_used = -1
-    level = 0
-    while True:
-        if max_cond is not None and level > max_cond:
+    for (u, v), independent in zip(pairs, decider.marginally_independent(pairs)):
+        if independent:
+            tests_run += 1
+            sepsets[(u, v)] = ()
+        else:
+            tests_run += 2
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    max_used = 0
+    level = 1
+    while ceiling is None or level <= ceiling:
+        pairs = [(u, v) for u in range(p) for v in nbrs[u] if u < v]
+        if not any(len(nbrs[u]) > level or len(nbrs[v]) > level for u, v in pairs):
             break
-        if decider.max_cond_size is not None and level > decider.max_cond_size:
-            break
-        pairs = sorted((u, v) for u in range(p) for v in adj[u] if u < v)
-        if not any(
-            len(adj[u]) - 1 >= level or len(adj[v]) - 1 >= level for u, v in pairs
-        ):
-            break
-        frozen = [sorted(adj[i]) for i in range(p)] if stable else None
+        frozen = [list(x) for x in nbrs] if stable else nbrs
         for u, v in pairs:
-            if v not in adj[u]:
+            if v not in nbrs[u]:
                 continue  # dropped earlier in this level
             for a, b in ((u, v), (v, u)):
-                nbrs = frozen[a] if stable else sorted(adj[a])
-                cands = [x for x in nbrs if x != b]
-                if len(cands) < level:
+                if len(frozen[a]) <= level:
                     continue
-                subsets = list(combinations(cands, level))
-                max_used = max(max_used, level)
+                subsets = list(combinations([x for x in frozen[a] if x != b], level))
+                max_used = level
                 i = decider.first_independent(u, v, subsets)
                 if i is None:
                     tests_run += len(subsets)
                     continue
                 tests_run += i + 1
-                adj[u].discard(v)
-                adj[v].discard(u)
+                nbrs[u].remove(v)
+                nbrs[v].remove(u)
                 sepsets[(u, v)] = subsets[i]
                 break
         level += 1
-    edges = {(u, v) for u in range(p) for v in adj[u] if u < v}
+    edges = {(u, v) for u in range(p) for v in nbrs[u] if u < v}
     return SkeletonResult(p, edges, sepsets, tests_run, max_used)
 
 

@@ -9,7 +9,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from rankpc.citest import CiDecider
 from rankpc.graph import Dag, EdgeState, Pdag
+from rankpc.pc import SkeletonResult
 
 
 def naive_kendall(x, y) -> float:
@@ -173,3 +175,72 @@ def random_dag_edges(rng: np.random.Generator, p: int, s: float) -> Dag:
     """Random DAG with independent edge coin flips, oriented low-to-high."""
     edges = [(u, v) for u, v in combinations(range(p), 2) if rng.random() < s]
     return Dag(p, edges)
+
+
+# Skeleton search with one ``first_independent`` call per (pair, direction,
+# level), level 0 included: a kept pair's marginal query is asked from both
+# of its sides.
+def naive_pc_skeleton(
+    decider: CiDecider,
+    p: int,
+    max_cond: int | None = None,
+    stable: bool = False,
+) -> SkeletonResult:
+    """Prune a complete graph by level-wise independence queries.
+
+    At level l, each still-adjacent pair (u, v) is tested against every
+    size-l subset of adj(u) - {v}, then of adj(v) - {u}, until some query
+    reports independence; the first separating set found is recorded.  Each
+    (pair, direction, level) is one ``decider.first_independent`` call, and
+    ``tests_run`` counts the subsets up to the first independent one.  Pairs
+    are processed in lexicographic order and candidate subsets in
+    lexicographic order over the sorted neighbor list, so runs are
+    deterministic.  By default adjacency sets shrink as edges fall during a
+    level (the classic order-dependent behavior); ``stable=True`` freezes the
+    neighbor lists at the start of each level instead.
+
+    The level ceiling is the smallest of ``max_cond`` and the decider's own
+    ``max_cond_size``, when given.
+    """
+    if p < 1:
+        raise ValueError(f"node count must be positive, got {p}")
+    if max_cond is not None and max_cond < 0:
+        raise ValueError(f"max_cond must be nonnegative, got {max_cond}")
+    adj: list[set[int]] = [set(range(p)) - {i} for i in range(p)]
+    sepsets: dict[tuple[int, int], tuple[int, ...]] = {}
+    tests_run = 0
+    max_used = -1
+    level = 0
+    while True:
+        if max_cond is not None and level > max_cond:
+            break
+        if decider.max_cond_size is not None and level > decider.max_cond_size:
+            break
+        pairs = sorted((u, v) for u in range(p) for v in adj[u] if u < v)
+        if not any(
+            len(adj[u]) - 1 >= level or len(adj[v]) - 1 >= level for u, v in pairs
+        ):
+            break
+        frozen = [sorted(adj[i]) for i in range(p)] if stable else None
+        for u, v in pairs:
+            if v not in adj[u]:
+                continue  # dropped earlier in this level
+            for a, b in ((u, v), (v, u)):
+                nbrs = frozen[a] if stable else sorted(adj[a])
+                cands = [x for x in nbrs if x != b]
+                if len(cands) < level:
+                    continue
+                subsets = list(combinations(cands, level))
+                max_used = max(max_used, level)
+                i = decider.first_independent(u, v, subsets)
+                if i is None:
+                    tests_run += len(subsets)
+                    continue
+                tests_run += i + 1
+                adj[u].discard(v)
+                adj[v].discard(u)
+                sepsets[(u, v)] = subsets[i]
+                break
+        level += 1
+    edges = {(u, v) for u in range(p) for v in adj[u] if u < v}
+    return SkeletonResult(p, edges, sepsets, tests_run, max_used)

@@ -18,6 +18,7 @@ from rankpc.citest import (
 )
 from rankpc.correlation import estimate_correlation_matrix
 from rankpc.graph import Dag, d_separated
+from rankpc.partial import PartialCorrelations
 from rankpc.simulate import SemModel, random_dag, random_weights, sample_sem
 
 from oracles import random_correlation
@@ -196,6 +197,39 @@ def test_first_independent_matches_decide_loop(seed, p, level, nonpd, variant, n
     for _ in range(2):  # the second round is answered from the memo
         want = CiDecider.first_independent(looped, u, v, subsets)
         assert batched.first_independent(u, v, subsets) == want
+        assert batched.warnings == looped.warnings
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 7),
+    degenerate=st.sampled_from([None, "nonpd", "unit"]),
+    variant=st.sampled_from(["fisher_z", "threshold", "boundary"]),
+    n=st.integers(4, 1000),
+    cutoff=st.floats(0.0, 1.0),
+)
+def test_marginally_independent_matches_base_loop(seed, p, degenerate, variant, n, cutoff):
+    rng = np.random.default_rng(seed)
+    sigma = random_correlation(rng, p)
+    if degenerate == "nonpd" and p >= 3:
+        sigma[:3, :3] = NONPD_BLOCK
+    elif degenerate == "unit":
+        sigma[0, 1] = sigma[1, 0] = 1.0
+    pairs = [pair for pair in combinations(range(p), 2) if rng.random() < 0.7]
+    partials = PartialCorrelations(sigma)
+    if variant == "fisher_z":
+        config = TestConfig("fisher_z", alpha=10.0 ** (-7.0 * cutoff - 0.5))
+    elif variant == "boundary" and not math.isnan(partials.marginal[p - 2, p - 1]):
+        # a cutoff equal to one |r(u, v | {})|: that pair is independent
+        config = TestConfig("threshold", gamma=abs(float(partials.marginal[p - 2, p - 1])))
+    else:
+        config = TestConfig("threshold", gamma=cutoff)
+    batched = RankCiDecider(sigma, n, config)
+    looped = RankCiDecider(sigma, n, config)
+    for _ in range(2):
+        want = CiDecider.marginally_independent(looped, pairs)
+        assert batched.marginally_independent(pairs) == want
         assert batched.warnings == looped.warnings
 
 

@@ -232,7 +232,7 @@ def test_matrix_matches_pairwise_estimates():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 1000), p=st.integers(1, 6))
-@example(seed=0, n=1000, p=3)  # 24 blocks of rows, the last one partial
+@example(seed=0, n=1000, p=3)  # 13 blocks of 43 to 169 rows, the last one cut at row n - 1
 @example(seed=1, n=2, p=1)
 def test_kendall_kernel_matches_naive_oracle(seed, n, p):
     data = Dataset(np.random.default_rng(seed).standard_normal((n, p)))

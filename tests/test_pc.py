@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankpc.citest import OracleDecider, RankCiDecider, TestConfig
 from rankpc.graph import Dag, EdgeState, Pdag, cpdag, skeleton
 from rankpc.pc import PcResult, orient_colliders, pc_result_to_text, pc_skeleton, run_pc
 
-from oracles import random_dag_edges
+from oracles import naive_pc_skeleton, random_correlation, random_dag_edges
+from test_citest import NONPD_BLOCK
 
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -66,6 +68,67 @@ def test_skeleton_validates_arguments():
         pc_skeleton(OracleDecider(CHAIN), 0)
     with pytest.raises(ValueError):
         pc_skeleton(OracleDecider(CHAIN), 3, max_cond=-1)
+
+
+class LoggedOracle(OracleDecider):
+    """Records every query, to compare the calls two searches make."""
+
+    def __init__(self, dag):
+        super().__init__(dag)
+        self.calls = []
+
+    def decide(self, u, v, s=()):
+        self.calls.append((u, v, tuple(s)))
+        return super().decide(u, v, s)
+
+
+def _skeleton_decider(kind, seed, p, degenerate, n, cutoff):
+    rng = np.random.default_rng(seed)
+    if kind == "oracle":
+        return LoggedOracle(random_dag_edges(rng, p, cutoff))
+    sigma = random_correlation(rng, p)
+    if degenerate == "nonpd" and p >= 3:
+        sigma[:3, :3] = NONPD_BLOCK
+    elif degenerate == "unit" and p >= 2:
+        sigma[0, 1] = sigma[1, 0] = 1.0
+    if kind == "fisher_z":
+        config = TestConfig("fisher_z", alpha=10.0 ** (-7.0 * cutoff - 0.5))
+    else:
+        config = TestConfig("threshold", gamma=cutoff)
+    return RankCiDecider(sigma, n, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["fisher_z", "threshold", "oracle"]),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 8),
+    degenerate=st.sampled_from([None, "nonpd", "unit"]),
+    n=st.one_of(st.integers(3, 8), st.integers(20, 1000)),  # fisher_z: max_cond_size = n - 4
+    cutoff=st.floats(0.0, 1.0),
+    stable=st.booleans(),
+    max_cond=st.sampled_from([None, 0, 1, 2]),
+)
+def test_skeleton_matches_naive_oracle(kind, seed, p, degenerate, n, cutoff, stable, max_cond):
+    args = (kind, seed, p, degenerate, n, cutoff)
+    fast, naive = _skeleton_decider(*args), _skeleton_decider(*args)
+    got = pc_skeleton(fast, p, max_cond=max_cond, stable=stable)
+    want = naive_pc_skeleton(naive, p, max_cond=max_cond, stable=stable)
+    assert got.edges == want.edges
+    assert got.sepsets == want.sepsets
+    assert got.tests_run == want.tests_run
+    assert got.max_cond_used == want.max_cond_used
+    assert fast.warnings == naive.warnings
+    assert getattr(fast, "calls", None) == getattr(naive, "calls", None)
+
+
+def test_run_pc_unit_correlation_keeps_the_pair():
+    sigma = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    res = run_pc(RankCiDecider(sigma, 100, TestConfig("fisher_z", alpha=0.05)), 3)
+    assert res.pdag == Pdag(3, {(0, 1): EdgeState.UNDIRECTED})
+    assert res.sepsets == {(0, 2): (), (1, 2): ()}
+    assert len(res.warnings) == 2
+    assert all(w.startswith("dependent by default for (0, 1 | ()): ") for w in res.warnings)
 
 
 def test_orient_colliders_chain_all_undirected():

@@ -286,9 +286,9 @@ def validate_correlation_matrix(sigma, atol: float = 1e-8) -> np.ndarray:
         raise ValueError(f"correlation matrix must be square, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise ValueError("correlation matrix contains non-finite entries")
-    if not np.allclose(mat, mat.T, atol=atol, rtol=0.0):
+    if not np.all(np.abs(mat - mat.T) <= atol):
         raise ValueError("correlation matrix is not symmetric")
-    if not np.allclose(np.diagonal(mat), 1.0, atol=atol, rtol=0.0):
+    if not np.all(np.abs(np.diagonal(mat) - 1.0) <= atol):
         raise ValueError("correlation matrix diagonal is not 1")
     if np.any(np.abs(mat) > 1.0 + atol):
         raise ValueError("correlation matrix has entries outside [-1, 1]")

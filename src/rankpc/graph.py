@@ -155,7 +155,7 @@ class Pdag:
         for (u, v), st in dict(states).items():
             if not (0 <= u < v < p):
                 raise ValueError(f"pair ({u}, {v}) must satisfy 0 <= u < v < p={p}")
-            st = EdgeState(st)
+            st = st if isinstance(st, EdgeState) else EdgeState(st)
             if st != EdgeState.ABSENT:
                 clean[(u, v)] = st
         self._states = clean

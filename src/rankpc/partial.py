@@ -18,6 +18,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .correlation import validate_correlation_matrix
 
@@ -105,31 +106,19 @@ def partial_corr_recursive(sigma, u: int, v: int, s: Iterable[int] = ()) -> floa
     return rec(u, v, cond)
 
 
-def _index_rows(a: int, b: int, conds: Sequence[tuple[int, ...]]) -> np.ndarray:
-    idx = np.empty((len(conds), len(conds[0]) + 2), dtype=np.intp)
-    idx[:, :-2] = conds
-    idx[:, -2] = a
-    idx[:, -1] = b
-    return idx
-
-
+@np.errstate(invalid="ignore")
 def partial_corr_batch(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """r(a, b | S) for every row S + (a, b) of ``idx``, one stacked Cholesky for all.
+    """r(a, b | S) for every row S + (a, b) of ``idx``, from one stacked factorization.
 
     ``mat`` is a validated correlation matrix and ``idx`` a (k, |S| + 2)
     integer array without repeats in a row.  With L the Cholesky factor of a
     row's submatrix, L[-1, -2] / hypot(L[-1, -2], L[-1, -1]) is its partial
-    correlation.  Rows whose submatrix is not positive definite give NaN: when
-    the stacked factorization fails, each half of the batch is redone on its
-    own until the failing rows are single.
+    correlation.  One call to the gufunc behind ``np.linalg.cholesky``, with
+    the invalid-value flag it raises on failure ignored, factorizes every
+    submatrix on its own: a row whose submatrix is not positive definite comes
+    back NaN, and the other rows are unaffected.
     """
-    try:
-        chol = np.linalg.cholesky(mat[idx[:, :, None], idx[:, None, :]])
-    except np.linalg.LinAlgError:
-        if len(idx) == 1:
-            return np.array([math.nan])
-        half = len(idx) // 2
-        return np.concatenate([partial_corr_batch(mat, idx[:half]), partial_corr_batch(mat, idx[half:])])
+    chol = _umath_linalg.cholesky_lo(mat[idx[:, :, None], idx[:, None, :]])
     x, y = chol[:, -1, -2], chol[:, -1, -1]
     return x / np.hypot(x, y)
 
@@ -165,7 +154,7 @@ class PartialCorrelations:
             except KeyError:
                 pass
         missing = [c for c in conds if c not in known]
-        values = partial_corr_batch(self.sigma, _index_rows(a, b, missing))
+        values = partial_corr_batch(self.sigma, np.array([c + (a, b) for c in missing]))
         known.update(zip(missing, values.tolist()))
         return [known[c] for c in conds]
 
@@ -179,7 +168,7 @@ def partial_corr_inverse(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:
     mat = validate_correlation_matrix(sigma)
     cond = _conditioning_tuple(u, v, s, mat.shape[0])
     a, b = (u, v) if u < v else (v, u)
-    r = float(partial_corr_batch(mat, _index_rows(a, b, [cond]))[0])
+    r = float(partial_corr_batch(mat, np.array([cond + (a, b)]))[0])
     if math.isnan(r):
         raise NotPositiveDefiniteError((a, b) + cond)
     return r
@@ -208,7 +197,7 @@ def min_nonzero_partial_corr(sigma, q: int | None = None, zero_tol: float = ZERO
             others = [w for w in range(p) if w != u and w != v]
             for size in range(0, q - 1):
                 conds = list(combinations(others, size))
-                vals = np.abs(partial_corr_batch(mat, _index_rows(u, v, conds)))
+                vals = np.abs(partial_corr_batch(mat, np.array([c + (u, v) for c in conds])))
                 bad = np.flatnonzero(np.isnan(vals))
                 if bad.size:
                     raise NotPositiveDefiniteError((u, v) + conds[bad[0]])

@@ -5,6 +5,7 @@ explicit path enumeration, brute force over node orderings.  None of it
 shares code paths with the library routines it validates.
 """
 
+import math
 from itertools import combinations, permutations
 
 import numpy as np
@@ -244,3 +245,27 @@ def naive_pc_skeleton(
         level += 1
     edges = {(u, v) for u in range(p) for v in adj[u] if u < v}
     return SkeletonResult(p, edges, sepsets, tests_run, max_used)
+
+
+# The stacked-Cholesky kernel that ``partial_corr_batch`` replaced, verbatim
+# apart from its name: a failed stacked factorization is retried on each half
+# of the batch until the failing rows are single, and those come back NaN.
+def halving_partial_corr_batch(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """r(a, b | S) for every row S + (a, b) of ``idx``, one stacked Cholesky for all.
+
+    ``mat`` is a validated correlation matrix and ``idx`` a (k, |S| + 2)
+    integer array without repeats in a row.  With L the Cholesky factor of a
+    row's submatrix, L[-1, -2] / hypot(L[-1, -2], L[-1, -1]) is its partial
+    correlation.  Rows whose submatrix is not positive definite give NaN: when
+    the stacked factorization fails, each half of the batch is redone on its
+    own until the failing rows are single.
+    """
+    try:
+        chol = np.linalg.cholesky(mat[idx[:, :, None], idx[:, None, :]])
+    except np.linalg.LinAlgError:
+        if len(idx) == 1:
+            return np.array([math.nan])
+        half = len(idx) // 2
+        return np.concatenate([halving_partial_corr_batch(mat, idx[:half]), halving_partial_corr_batch(mat, idx[half:])])
+    x, y = chol[:, -1, -2], chol[:, -1, -1]
+    return x / np.hypot(x, y)

@@ -161,19 +161,23 @@ def test_run_experiment_threads_do_not_change_results():
 
 
 def test_shared_partials_match_a_fresh_decider_per_alpha(monkeypatch):
-    cfg = mini_config(
-        replicates=2,
-        n_values=(100,),
-        methods=("pearson", "spearman", "kendall"),
-        alpha_log10=(-7.0, -3.5, -2.0, -1.0, -0.75),
-    )
-    shared = run_experiment(cfg)
-    # a plain matrix makes every RankCiDecider build its own memo
-    monkeypatch.setattr(experiment, "PartialCorrelations", np.asarray)
-    fresh = run_experiment(cfg)
+    # the grid runs densest alpha first whatever order the config gives
+    grids = [(-7.0, -3.5, -2.0, -1.0, -0.75), (-2.0, -0.75, -7.0, -1.0, -3.5)]
     strip = lambda r: dataclasses.replace(r, runtime_ms=0.0)
-    assert [strip(r) for r in shared.records] == [strip(r) for r in fresh.records]
-    assert shared.failures == fresh.failures == []
+    for alpha_log10 in grids:
+        cfg = mini_config(
+            replicates=2,
+            n_values=(100,),
+            methods=("pearson", "spearman", "kendall"),
+            alpha_log10=alpha_log10,
+        )
+        shared = run_experiment(cfg)
+        # a plain matrix makes every RankCiDecider build its own memo
+        with monkeypatch.context() as m:
+            m.setattr(experiment, "PartialCorrelations", np.asarray)
+            fresh = run_experiment(cfg)
+        assert [strip(r) for r in shared.records] == [strip(r) for r in fresh.records]
+        assert shared.failures == fresh.failures == []
 
 
 def test_run_experiment_shd_within_coarse_bound():

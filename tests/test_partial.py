@@ -1,7 +1,9 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankpc.partial import (
     BoundInputs,
@@ -11,12 +13,14 @@ from rankpc.partial import (
     min_nonzero_partial_corr,
     min_submatrix_eigenvalue,
     normalized_offdiag_bound_holds,
+    partial_corr_batch,
     partial_corr_inverse,
     partial_corr_recursive,
     rank_pc_error_bound,
 )
 
-from oracles import random_correlation
+from oracles import halving_partial_corr_batch, random_correlation
+from test_citest import NONPD_BLOCK
 
 
 EQUI = np.array(
@@ -89,6 +93,75 @@ def test_routes_agree_on_random_matrices():
         a = partial_corr_recursive(sigma, u, v, s)
         b = partial_corr_inverse(sigma, u, v, s)
         assert a == pytest.approx(b, abs=1e-10)
+
+
+def _same_bits(x, y) -> bool:
+    """NaN in the same places, and bitwise equal values elsewhere."""
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(3, 7),
+    size=st.integers(0, 3),
+    degenerate=st.sampled_from([None, "nonpd", "unit"]),
+)
+def test_partial_corr_batch_matches_halving_kernel(seed, p, size, degenerate):
+    rng = np.random.default_rng(seed)
+    sigma = random_correlation(rng, p)
+    if degenerate == "nonpd":
+        sigma[:3, :3] = NONPD_BLOCK  # every submatrix over {0, 1, 2} and more is indefinite
+    elif degenerate == "unit":
+        sigma[0, 1] = sigma[1, 0] = 1.0  # r(0, 1 | {}) has a singular 2 x 2 submatrix
+    size = min(size, p - 2)
+    rows = [
+        c + (a, b)
+        for a, b in combinations(range(p), 2)
+        for c in combinations([w for w in range(p) if w not in (a, b)], size)
+    ]
+    nonpd = [
+        (degenerate == "nonpd" and {0, 1, 2} <= set(row)) or (degenerate == "unit" and row == (0, 1))
+        for row in rows
+    ]
+    # a random subset of the rows, always with the non-PD ones, in random order
+    keep = np.flatnonzero((rng.random(len(rows)) < 0.5) | np.array(nonpd))
+    keep = rng.permutation(keep if keep.size else [0])
+    idx = np.array(rows)[keep]
+    got = partial_corr_batch(sigma, idx)
+    assert _same_bits(got, halving_partial_corr_batch(sigma, idx))
+    assert all(math.isnan(got[i]) for i, k in enumerate(keep) if nonpd[k])
+    # a row's value depends neither on its neighbours nor on its place in the batch
+    for i in range(len(idx)):
+        assert _same_bits(partial_corr_batch(sigma, idx[i : i + 1]), got[i : i + 1])
+    perm = rng.permutation(len(idx))
+    assert _same_bits(partial_corr_batch(sigma, idx[perm]), got[perm])
+    for row, r in zip(idx.tolist(), got.tolist()):
+        *s, a, b = row
+        if math.isnan(r):
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                partial_corr_inverse(sigma, b, a, s[::-1])
+            assert exc.value.indices == tuple(row[-2:] + row[:-2])
+        else:
+            assert partial_corr_inverse(sigma, b, a, s[::-1]) == r
+    # min_nonzero_partial_corr reports the first non-PD (u, v, S) of its enumeration
+    first_nonpd = next(
+        (
+            (u, v) + c
+            for u, v in combinations(range(p), 2)
+            for k in range(p - 1)
+            for c in combinations([w for w in range(p) if w not in (u, v)], k)
+            if math.isnan(halving_partial_corr_batch(sigma, np.array([c + (u, v)]))[0])
+        ),
+        None,
+    )
+    if first_nonpd is None:
+        min_nonzero_partial_corr(sigma)
+    else:
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            min_nonzero_partial_corr(sigma)
+        assert exc.value.indices == first_nonpd
 
 
 def test_partial_corr_symmetric_in_pair_and_set_order():

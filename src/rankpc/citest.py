@@ -2,11 +2,11 @@
 
 A decider answers "is X_u independent of X_v given X_S?".  The data-driven
 decider reads memoised partial correlations of one correlation matrix
-estimate; the oracle decider reads d-separation off a known DAG.  Two
-exchangeable decision rules are provided: a fixed cutoff on |partial
-correlation| and the z-transform test, which are equivalent for a cutoff
-computed by :func:`gamma_threshold`; the data-driven decider runs both as a
-cutoff.
+estimate; the oracle decider reads d-separation off a known DAG.  The
+data-driven decider has one decision rule, independent when |partial
+correlation| <= gamma.  The 'threshold' variant fixes gamma; the 'fisher_z'
+variant takes the cutoff from :func:`gamma_threshold`, which makes the rule
+equal to the z-transform test at level alpha.
 """
 
 from __future__ import annotations
@@ -27,23 +27,19 @@ __all__ = [
     "CiDecider",
     "RankCiDecider",
     "OracleDecider",
-    "threshold_decide",
-    "fisher_z_decide",
     "gamma_threshold",
-    "inverse_normal_cdf",
 ]
 
-VARIANTS = ("threshold", "fisher_z", "oracle")
+VARIANTS = ("threshold", "fisher_z")
 
 
 @dataclass(frozen=True)
 class TestConfig:
     """Which decision rule to run and its parameters.
 
-    variant 'threshold' uses ``gamma``; variant 'fisher_z' uses ``alpha``;
-    variant 'oracle' needs neither.  ``method`` is a validated label naming
-    the correlation estimator; the decider ignores it and uses whatever
-    matrix it is handed.
+    variant 'threshold' uses ``gamma``; variant 'fisher_z' uses ``alpha``.
+    ``method`` is a validated label naming the correlation estimator; the
+    decider ignores it and uses whatever matrix it is handed.
     """
 
     __test__ = False  # not a test case despite the name
@@ -63,49 +59,11 @@ class TestConfig:
                 raise ValueError(f"threshold variant needs gamma in [0, 1], got {self.gamma}")
             if self.alpha is not None:
                 raise ValueError("alpha is meaningless for the threshold variant")
-        elif self.variant == "fisher_z":
+        else:
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise ValueError(f"fisher_z variant needs alpha in (0, 1), got {self.alpha}")
             if self.gamma is not None:
                 raise ValueError("gamma is meaningless for the fisher_z variant")
-        else:
-            if self.gamma is not None or self.alpha is not None:
-                raise ValueError("oracle variant takes no gamma or alpha")
-
-
-def threshold_decide(rho_hat: float, gamma: float) -> bool:
-    """Independent exactly when |rho_hat| <= gamma (boundary counts as independent)."""
-    if not math.isfinite(rho_hat):
-        raise ValueError(f"correlation estimate must be finite, got {rho_hat}")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    return abs(rho_hat) <= gamma
-
-
-def inverse_normal_cdf(prob: float) -> float:
-    """Quantile of the standard normal distribution."""
-    if not 0.0 < prob < 1.0:
-        raise ValueError(f"probability must lie strictly in (0, 1), got {prob}")
-    return float(ndtri(prob))
-
-
-def fisher_z_decide(rho_hat: float, n: int, s_size: int, alpha: float) -> bool:
-    """z-transform test: independent when the standardized statistic is small.
-
-    Compares sqrt(n - |S| - 3) * |0.5 log((1+r)/(1-r))| against the upper
-    alpha/2 normal quantile.  Requires n - s_size - 3 >= 1 and |rho_hat| < 1.
-    """
-    if not math.isfinite(rho_hat) or abs(rho_hat) >= 1.0:
-        raise ValueError(f"need |rho_hat| < 1, got {rho_hat}")
-    if s_size < 0:
-        raise ValueError(f"conditioning size must be nonnegative, got {s_size}")
-    m = n - s_size - 3
-    if m < 1:
-        raise ValueError(f"need n - s_size - 3 >= 1, got n={n}, s_size={s_size}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    stat = math.sqrt(m) * abs(0.5 * math.log((1.0 + rho_hat) / (1.0 - rho_hat)))
-    return stat <= inverse_normal_cdf(1.0 - alpha / 2.0)
 
 
 def gamma_threshold(n: int, s_size: int, z: float) -> float:
@@ -181,16 +139,13 @@ class RankCiDecider(CiDecider):
 
     def __init__(self, sigma, n: int, config: TestConfig):
         super().__init__()
-        if config.variant == "oracle":
-            raise ValueError("oracle variant has no data-driven decider")
         self.partials = sigma if isinstance(sigma, PartialCorrelations) else PartialCorrelations(sigma)
-        self.sigma = self.partials.sigma
         self.n = int(n)
         self.config = config
         self._gammas: dict[int, float] = {}
         if config.variant == "fisher_z":
             self.max_cond_size = self.n - 4
-            self._z = 2.0 * inverse_normal_cdf(1.0 - config.alpha / 2.0)
+            self._z = 2.0 * float(ndtri(1.0 - config.alpha / 2.0))
         else:
             self.max_cond_size = None
 

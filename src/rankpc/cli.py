@@ -20,6 +20,7 @@ import numpy as np
 from .citest import OracleDecider
 from .experiment import (
     ExperimentConfig,
+    _replicate_model,
     load_config,
     records_from_csv,
     records_to_csv,
@@ -99,8 +100,6 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> list[Path]:
     file names, the noise/transform pair, and the true equivalence class as
     an inline edge list.  Identical configs write identical bytes.
     """
-    from .experiment import _replicate_model
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import IntEnum
+from itertools import combinations
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -179,9 +180,6 @@ class Pdag:
     def has_arrow(self, a: int, b: int) -> bool:
         """True when the directed edge a -> b is present."""
         return self.state(a, b) == EdgeState.FORWARD
-
-    def is_undirected(self, u: int, v: int) -> bool:
-        return self.state(u, v) == EdgeState.UNDIRECTED
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         out = [u for u in range(self.p) if u != v and self.is_adjacent(u, v)]
@@ -365,68 +363,53 @@ def _set_arrow(states: dict, a: int, b: int) -> None:
         states[(b, a)] = EdgeState.BACKWARD
 
 
-def _neighbor_map(states: dict, p: int) -> list[list[int]]:
-    nbrs: list[list[int]] = [[] for _ in range(p)]
-    for u, v in states:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    for xs in nbrs:
-        xs.sort()
-    return nbrs
+def _compelled(states: dict, nbrs: list[list[int]], a: int, b: int) -> bool:
+    """Does a closure rule orient the undirected edge a - b into a -> b?
+
+    Rule 1 fires when some c -> a has c, b nonadjacent (avoids a new
+    collider).  Rule 2 fires on a directed path a -> c -> b (avoids a cycle).
+    Rule 3 fires when two nonadjacent nodes c, d are undirected neighbors of
+    a and both point at b.
+    """
+    for c in nbrs[a]:
+        if c != b and _arrow_in(states, c, a) and not _adjacent_in(states, c, b):
+            return True
+    for c in nbrs[a]:
+        if c != b and _arrow_in(states, a, c) and _arrow_in(states, c, b):
+            return True
+    cands = [
+        c for c in nbrs[a] if c != b and _undirected_in(states, a, c) and _arrow_in(states, c, b)
+    ]
+    for c, d in combinations(cands, 2):
+        if not _adjacent_in(states, c, d):
+            return True
+    return False
 
 
 def _meek_fixpoint(states: dict, p: int) -> None:
     """Orient undirected edges compelled by the three closure rules, in place.
 
-    Rule 1 orients b - c into b -> c when a -> b exists with a, c nonadjacent
-    (avoids a new collider).  Rule 2 orients a - c into a -> c when a directed
-    path a -> b -> c exists (avoids a cycle).  Rule 3 orients a - b into
-    a -> b when two nonadjacent nodes c, d are undirected neighbors of a and
-    both point at b.
+    Passes over the pairs in sorted order until one changes nothing; each
+    undirected pair (u, v) is tried as u -> v, then as v -> u.  Orienting
+    never changes adjacency, so the pair order and the neighbor lists are
+    built once; visiting the pairs in sorted order appends to each list in
+    increasing order.
     """
+    pairs = sorted(states)
+    nbrs: list[list[int]] = [[] for _ in range(p)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     changed = True
     while changed:
         changed = False
-        nbrs = _neighbor_map(states, p)
-        for (u, v), st in sorted(states.items()):
-            if st != EdgeState.UNDIRECTED:
+        for u, v in pairs:
+            if states[(u, v)] != EdgeState.UNDIRECTED:
                 continue
             for a, b in ((u, v), (v, u)):
-                # rule 1: some c -> a with c, b nonadjacent
-                fired = False
-                for c in nbrs[a]:
-                    if c != b and _arrow_in(states, c, a) and not _adjacent_in(states, c, b):
-                        _set_arrow(states, a, b)
-                        changed = True
-                        fired = True
-                        break
-                if fired:
-                    break
-                # rule 2: a -> c -> b for some common neighbor c
-                for c in nbrs[a]:
-                    if c != b and _arrow_in(states, a, c) and _arrow_in(states, c, b):
-                        _set_arrow(states, a, b)
-                        changed = True
-                        fired = True
-                        break
-                if fired:
-                    break
-                # rule 3: c, d nonadjacent, a - c, a - d undirected, c -> b, d -> b
-                cands = [
-                    c
-                    for c in nbrs[a]
-                    if c != b and _undirected_in(states, a, c) and _arrow_in(states, c, b)
-                ]
-                for i in range(len(cands)):
-                    for j in range(i + 1, len(cands)):
-                        if not _adjacent_in(states, cands[i], cands[j]):
-                            _set_arrow(states, a, b)
-                            changed = True
-                            fired = True
-                            break
-                    if fired:
-                        break
-                if fired:
+                if _compelled(states, nbrs, a, b):
+                    _set_arrow(states, a, b)
+                    changed = True
                     break
 
 

@@ -1,13 +1,12 @@
 """Partial correlations and the conditioning quantities behind the error bound.
 
-Two independent routes compute the same partial correlation: a recursion that
-eliminates one conditioning variable at a time, and a Cholesky factorization
-of the relevant principal submatrix.  The factorization route is batched over
-many conditioning sets of one size and memoised per correlation matrix by
-:class:`PartialCorrelations`, which the data-driven CI decider reads.  The
-conditioning functionals (smallest nonzero partial correlation, smallest
-submatrix eigenvalue) feed the closed-form bound on the probability that
-rank-based structure learning returns a wrong equivalence class.
+One engine computes partial correlations: a Cholesky factorization of the
+relevant principal submatrix, batched over many conditioning sets of one
+size and memoised per correlation matrix by :class:`PartialCorrelations`,
+which the data-driven CI decider reads.  The conditioning functionals
+(smallest nonzero partial correlation, smallest submatrix eigenvalue) feed
+the closed-form bound on the probability that rank-based structure learning
+returns a wrong equivalence class.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from .correlation import validate_correlation_matrix
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "DegenerateCorrelationError",
-    "partial_corr_recursive",
     "partial_corr_inverse",
     "partial_corr_batch",
     "PartialCorrelations",
@@ -37,7 +34,6 @@ __all__ = [
     "normalized_offdiag_bound_holds",
 ]
 
-DENOM_TOL = 1e-12
 ZERO_TOL = 1e-9
 
 
@@ -47,10 +43,6 @@ class NotPositiveDefiniteError(ArithmeticError):
     def __init__(self, indices: tuple[int, ...]):
         self.indices = tuple(indices)
         super().__init__(f"submatrix over indices {self.indices} is not positive definite")
-
-
-class DegenerateCorrelationError(ArithmeticError):
-    """A recursion denominator vanished: some intermediate correlation is +-1."""
 
 
 def _conditioning_tuple(u: int, v: int, s: Iterable[int], p: int) -> tuple[int, ...]:
@@ -65,45 +57,6 @@ def _conditioning_tuple(u: int, v: int, s: Iterable[int], p: int) -> tuple[int, 
     if u in cond or v in cond:
         raise ValueError("u and v must not belong to the conditioning set")
     return cond
-
-
-def partial_corr_recursive(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:
-    """Partial correlation by eliminating conditioning variables one at a time.
-
-    Each step removes the smallest remaining index w via
-
-        r(u,v|S) = (r(u,v|S') - r(u,w|S') r(v,w|S')) / sqrt((1-r(u,w|S')^2)(1-r(v,w|S')^2))
-
-    with S' = S without w.  Raises :class:`DegenerateCorrelationError` when a
-    denominator factor drops to the tolerance.
-    """
-    mat = validate_correlation_matrix(sigma)
-    cond = _conditioning_tuple(u, v, s, mat.shape[0])
-    memo: dict[tuple, float] = {}
-
-    def rec(a: int, b: int, ss: tuple[int, ...]) -> float:
-        key = (a, b, ss) if a < b else (b, a, ss)
-        val = memo.get(key)
-        if val is not None:
-            return val
-        if not ss:
-            val = float(mat[a, b])
-        else:
-            w, rest = ss[0], ss[1:]
-            r_ab = rec(a, b, rest)
-            r_aw = rec(a, w, rest)
-            r_bw = rec(b, w, rest)
-            da = 1.0 - r_aw * r_aw
-            db = 1.0 - r_bw * r_bw
-            if da <= DENOM_TOL or db <= DENOM_TOL:
-                raise DegenerateCorrelationError(
-                    f"denominator vanished eliminating {w} for ({a}, {b} | {ss})"
-                )
-            val = (r_ab - r_aw * r_bw) / math.sqrt(da * db)
-        memo[key] = val
-        return val
-
-    return rec(u, v, cond)
 
 
 @np.errstate(invalid="ignore")

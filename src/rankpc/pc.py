@@ -12,7 +12,15 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .citest import CiDecider
-from .graph import EdgeState, Pdag, _meek_fixpoint
+from .graph import (
+    EdgeState,
+    Pdag,
+    _arrow_in,
+    _meek_fixpoint,
+    _set_arrow,
+    _undirected_in,
+    pdag_to_text,
+)
 
 __all__ = [
     "SkeletonResult",
@@ -126,14 +134,11 @@ def pc_skeleton(
 
 
 def _force_arrow(states: dict, a: int, b: int, warnings: list[str]) -> None:
-    key = (a, b) if a < b else (b, a)
-    want = EdgeState.FORWARD if a < b else EdgeState.BACKWARD
-    current = states[key]
-    if current not in (EdgeState.UNDIRECTED, want):
+    if not (_undirected_in(states, a, b) or _arrow_in(states, a, b)):
         warnings.append(
-            f"orientation conflict on pair ({key[0]}, {key[1]}): overwriting with {a} -> {b}"
+            f"orientation conflict on pair ({min(a, b)}, {max(a, b)}): overwriting with {a} -> {b}"
         )
-    states[key] = want
+    _set_arrow(states, a, b)
 
 
 def orient_colliders(
@@ -188,8 +193,6 @@ def run_pc(
 
 def pc_result_to_text(result: PcResult) -> str:
     """Edge list followed by a key-value diagnostics block."""
-    from .graph import pdag_to_text
-
     lines = [pdag_to_text(result.pdag).rstrip("\n"), ""]
     lines.append(f"tests_run={result.tests_run}")
     lines.append(f"max_cond_used={result.max_cond_used}")

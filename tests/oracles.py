@@ -9,6 +9,7 @@ import math
 from itertools import combinations, permutations
 
 import numpy as np
+from scipy.special import ndtri
 
 from rankpc.citest import CiDecider
 from rankpc.graph import Dag, EdgeState, Pdag
@@ -269,3 +270,157 @@ def halving_partial_corr_batch(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.concatenate([halving_partial_corr_batch(mat, idx[:half]), halving_partial_corr_batch(mat, idx[half:])])
     x, y = chol[:, -1, -2], chol[:, -1, -1]
     return x / np.hypot(x, y)
+
+
+DENOM_TOL = 1e-12
+
+
+class DegenerateCorrelationError(ArithmeticError):
+    """A recursion denominator vanished: some intermediate correlation is +-1."""
+
+
+def partial_corr_recursive(sigma, u: int, v: int, s=()) -> float:
+    """Partial correlation by eliminating conditioning variables one at a time.
+
+    Each step removes the smallest remaining index w via
+
+        r(u,v|S) = (r(u,v|S') - r(u,w|S') r(v,w|S')) / sqrt((1-r(u,w|S')^2)(1-r(v,w|S')^2))
+
+    with S' = S without w.  Raises :class:`DegenerateCorrelationError` when a
+    denominator factor drops to the tolerance.  Indices are not validated.
+    """
+    mat = np.asarray(sigma, dtype=float)
+    memo: dict[tuple, float] = {}
+
+    def rec(a: int, b: int, ss: tuple[int, ...]) -> float:
+        key = (a, b, ss) if a < b else (b, a, ss)
+        val = memo.get(key)
+        if val is not None:
+            return val
+        if not ss:
+            val = float(mat[a, b])
+        else:
+            w, rest = ss[0], ss[1:]
+            r_ab = rec(a, b, rest)
+            r_aw = rec(a, w, rest)
+            r_bw = rec(b, w, rest)
+            da = 1.0 - r_aw * r_aw
+            db = 1.0 - r_bw * r_bw
+            if da <= DENOM_TOL or db <= DENOM_TOL:
+                raise DegenerateCorrelationError(
+                    f"denominator vanished eliminating {w} for ({a}, {b} | {ss})"
+                )
+            val = (r_ab - r_aw * r_bw) / math.sqrt(da * db)
+        memo[key] = val
+        return val
+
+    return rec(u, v, tuple(sorted(s)))
+
+
+def fisher_z_decide(rho_hat: float, n: int, s_size: int, alpha: float) -> bool:
+    """z-transform test: independent when the standardized statistic is small.
+
+    Compares sqrt(n - |S| - 3) * |0.5 log((1+r)/(1-r))| against the upper
+    alpha/2 normal quantile.  Requires n - s_size - 3 >= 1 and |rho_hat| < 1.
+    """
+    if not math.isfinite(rho_hat) or abs(rho_hat) >= 1.0:
+        raise ValueError(f"need |rho_hat| < 1, got {rho_hat}")
+    if s_size < 0:
+        raise ValueError(f"conditioning size must be nonnegative, got {s_size}")
+    m = n - s_size - 3
+    if m < 1:
+        raise ValueError(f"need n - s_size - 3 >= 1, got n={n}, s_size={s_size}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    stat = math.sqrt(m) * abs(0.5 * math.log((1.0 + rho_hat) / (1.0 - rho_hat)))
+    return stat <= float(ndtri(1.0 - alpha / 2.0))
+
+
+# The orientation-closure loop that rebuilt its neighbor map and re-sorted the
+# pairs on every pass, verbatim apart from its name, with the helpers it calls.
+def _arrow_in(states: dict, a: int, b: int) -> bool:
+    if a < b:
+        return states.get((a, b)) == EdgeState.FORWARD
+    return states.get((b, a)) == EdgeState.BACKWARD
+
+
+def _undirected_in(states: dict, a: int, b: int) -> bool:
+    key = (a, b) if a < b else (b, a)
+    return states.get(key) == EdgeState.UNDIRECTED
+
+
+def _adjacent_in(states: dict, a: int, b: int) -> bool:
+    key = (a, b) if a < b else (b, a)
+    return key in states
+
+
+def _set_arrow(states: dict, a: int, b: int) -> None:
+    if a < b:
+        states[(a, b)] = EdgeState.FORWARD
+    else:
+        states[(b, a)] = EdgeState.BACKWARD
+
+
+def _neighbor_map(states: dict, p: int) -> list[list[int]]:
+    nbrs: list[list[int]] = [[] for _ in range(p)]
+    for u, v in states:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for xs in nbrs:
+        xs.sort()
+    return nbrs
+
+
+def rebuilding_meek_fixpoint(states: dict, p: int) -> None:
+    """Orient undirected edges compelled by the three closure rules, in place.
+
+    Rule 1 orients b - c into b -> c when a -> b exists with a, c nonadjacent
+    (avoids a new collider).  Rule 2 orients a - c into a -> c when a directed
+    path a -> b -> c exists (avoids a cycle).  Rule 3 orients a - b into
+    a -> b when two nonadjacent nodes c, d are undirected neighbors of a and
+    both point at b.
+    """
+    changed = True
+    while changed:
+        changed = False
+        nbrs = _neighbor_map(states, p)
+        for (u, v), st in sorted(states.items()):
+            if st != EdgeState.UNDIRECTED:
+                continue
+            for a, b in ((u, v), (v, u)):
+                # rule 1: some c -> a with c, b nonadjacent
+                fired = False
+                for c in nbrs[a]:
+                    if c != b and _arrow_in(states, c, a) and not _adjacent_in(states, c, b):
+                        _set_arrow(states, a, b)
+                        changed = True
+                        fired = True
+                        break
+                if fired:
+                    break
+                # rule 2: a -> c -> b for some common neighbor c
+                for c in nbrs[a]:
+                    if c != b and _arrow_in(states, a, c) and _arrow_in(states, c, b):
+                        _set_arrow(states, a, b)
+                        changed = True
+                        fired = True
+                        break
+                if fired:
+                    break
+                # rule 3: c, d nonadjacent, a - c, a - d undirected, c -> b, d -> b
+                cands = [
+                    c
+                    for c in nbrs[a]
+                    if c != b and _undirected_in(states, a, c) and _arrow_in(states, c, b)
+                ]
+                for i in range(len(cands)):
+                    for j in range(i + 1, len(cands)):
+                        if not _adjacent_in(states, cands[i], cands[j]):
+                            _set_arrow(states, a, b)
+                            changed = True
+                            fired = True
+                            break
+                    if fired:
+                        break
+                if fired:
+                    break

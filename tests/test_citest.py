@@ -3,31 +3,21 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
-from rankpc.citest import (
-    CiDecider,
-    OracleDecider,
-    RankCiDecider,
-    TestConfig,
-    fisher_z_decide,
-    gamma_threshold,
-    inverse_normal_cdf,
-    threshold_decide,
-)
+from rankpc.citest import CiDecider, OracleDecider, RankCiDecider, TestConfig, gamma_threshold
 from rankpc.correlation import estimate_correlation_matrix
 from rankpc.graph import Dag, d_separated
 from rankpc.partial import PartialCorrelations
 from rankpc.simulate import SemModel, random_dag, random_weights, sample_sem
 
-from oracles import random_correlation
+from oracles import fisher_z_decide, random_correlation
 
 
 def test_config_validation():
     TestConfig("threshold", gamma=0.2)
     TestConfig("fisher_z", method="kendall", alpha=0.05)
-    TestConfig("oracle")
     with pytest.raises(ValueError):
         TestConfig("wald")
     with pytest.raises(ValueError):
@@ -41,45 +31,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TestConfig("fisher_z", alpha=0.05, gamma=0.1)
     with pytest.raises(ValueError):
-        TestConfig("oracle", alpha=0.05)
-    with pytest.raises(ValueError):
         TestConfig("fisher_z", method="tetrachoric", alpha=0.05)
-
-
-def test_threshold_decide_boundary_inclusive():
-    assert threshold_decide(0.3, 0.3)
-    assert threshold_decide(-0.3, 0.3)
-    assert not threshold_decide(0.300001, 0.3)
-    assert threshold_decide(0.0, 0.0)
-    with pytest.raises(ValueError):
-        threshold_decide(math.nan, 0.3)
-    with pytest.raises(ValueError):
-        threshold_decide(0.2, -0.1)
-
-
-def test_inverse_normal_cdf_frozen_value():
-    assert inverse_normal_cdf(0.975) == pytest.approx(1.959963984540054, abs=1e-12)
-    assert inverse_normal_cdf(0.5) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_inverse_normal_cdf_matches_reference():
-    probs = np.concatenate(
-        [
-            np.array([1e-12, 1e-9, 1e-4, 0.01, 0.02425, 0.5, 0.9, 0.999999]),
-            np.random.default_rng(61).uniform(1e-8, 1.0 - 1e-8, size=2000),
-        ]
-    )
-    worst = max(abs(inverse_normal_cdf(float(q)) - scipy.special.ndtri(q)) for q in probs)
-    assert worst <= 1e-9
-
-
-def test_inverse_normal_cdf_symmetry_and_domain():
-    for q in (0.01, 0.3, 0.45):
-        assert inverse_normal_cdf(1.0 - q) == pytest.approx(-inverse_normal_cdf(q), abs=1e-12)
-    with pytest.raises(ValueError):
-        inverse_normal_cdf(0.0)
-    with pytest.raises(ValueError):
-        inverse_normal_cdf(1.0)
 
 
 def test_fisher_z_decide_basic():
@@ -126,9 +78,9 @@ def test_fisher_and_threshold_rules_coincide():
         s = int(rng.integers(0, min(8, n - 4) + 1))
         alpha = float(rng.uniform(1e-6, 0.4))
         r = float(rng.uniform(-0.999, 0.999))
-        z = 2.0 * inverse_normal_cdf(1.0 - alpha / 2.0)
+        z = 2.0 * float(ndtri(1.0 - alpha / 2.0))
         gamma = gamma_threshold(n, s, z)
-        assert fisher_z_decide(r, n, s, alpha) == threshold_decide(r, gamma)
+        assert fisher_z_decide(r, n, s, alpha) == (abs(r) <= gamma)
 
 
 def test_rank_decider_symmetric_and_deterministic():
@@ -146,6 +98,18 @@ def test_rank_decider_threshold_variant():
     assert loose.decide(0, 1, ())
     assert not tight.decide(0, 1, ())
     assert loose.max_cond_size is None
+    # the cutoff is inclusive: gamma = |r(0, 1 | S)| is independent, one ulp less is not
+    sigma = random_correlation(np.random.default_rng(73), 3)
+    partials = PartialCorrelations(sigma)
+    g0 = abs(float(partials.marginal[0, 1]))
+    g1 = abs(partials.batch(0, 1, [(2,)])[0])
+    for gamma, independent in ((g0, True), (float(np.nextafter(g0, 0.0)), False)):
+        dec = RankCiDecider(sigma, 50, TestConfig("threshold", gamma=gamma))
+        assert dec.marginally_independent([(0, 1)]) == [independent]
+        assert dec.decide(0, 1, ()) is independent
+    for gamma, first in ((g1, 0), (float(np.nextafter(g1, 0.0)), None)):
+        dec = RankCiDecider(sigma, 50, TestConfig("threshold", gamma=gamma))
+        assert dec.first_independent(0, 1, [(2,)]) == first
 
 
 def test_rank_decider_fisher_cond_cap():
@@ -237,11 +201,6 @@ def test_rank_decider_unit_correlation_is_dependent():
     sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
     dec = RankCiDecider(sigma, 100, TestConfig("fisher_z", alpha=0.05))
     assert not dec.decide(0, 1, ())
-
-
-def test_rank_decider_rejects_oracle_variant():
-    with pytest.raises(ValueError):
-        RankCiDecider(np.eye(2), 100, TestConfig("oracle"))
 
 
 def test_oracle_decider_reads_the_dag():

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankpc.graph import (
     Dag,
@@ -18,9 +21,10 @@ from rankpc.graph import (
     shd,
     skeleton,
     unshielded_colliders,
+    _meek_fixpoint,
 )
 
-from oracles import cpdag_by_enumeration, dsep_by_paths, random_dag_edges
+from oracles import cpdag_by_enumeration, dsep_by_paths, random_dag_edges, rebuilding_meek_fixpoint
 
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -185,6 +189,26 @@ def test_meek_rule_two_closes_triangle_path():
     )
     closed = meek_closure(start)
     assert closed.has_arrow(0, 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), p=st.integers(1, 10))
+def test_meek_fixpoint_matches_rebuilding_loop(data, p):
+    # arbitrary states, so cyclic and conflicting inputs too, in arbitrary key order
+    pairs = list(combinations(range(p), 2))
+    kinds = data.draw(
+        st.lists(
+            st.sampled_from([None, EdgeState.UNDIRECTED, EdgeState.FORWARD, EdgeState.BACKWARD]),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    order = data.draw(st.permutations(range(len(pairs))))
+    states = {pairs[i]: kinds[i] for i in order if kinds[i] is not None}
+    want = dict(states)
+    rebuilding_meek_fixpoint(want, p)
+    _meek_fixpoint(states, p)
+    assert list(states.items()) == list(want.items())
 
 
 def test_shd_frozen_example():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from rankpc.partial import (
     BoundInputs,
-    DegenerateCorrelationError,
     NotPositiveDefiniteError,
     inverse_error_bound_holds,
     min_nonzero_partial_corr,
@@ -15,11 +14,15 @@ from rankpc.partial import (
     normalized_offdiag_bound_holds,
     partial_corr_batch,
     partial_corr_inverse,
-    partial_corr_recursive,
     rank_pc_error_bound,
 )
 
-from oracles import halving_partial_corr_batch, random_correlation
+from oracles import (
+    DegenerateCorrelationError,
+    halving_partial_corr_batch,
+    partial_corr_recursive,
+    random_correlation,
+)
 from test_citest import NONPD_BLOCK
 
 
@@ -42,13 +45,13 @@ def test_recursion_empty_set_is_plain_entry():
 
 def test_recursion_validates_indices():
     with pytest.raises(ValueError):
-        partial_corr_recursive(EQUI, 0, 0, [])
+        partial_corr_inverse(EQUI, 0, 0, [])
     with pytest.raises(ValueError):
-        partial_corr_recursive(EQUI, 0, 1, [1])
+        partial_corr_inverse(EQUI, 0, 1, [1])
     with pytest.raises(ValueError):
-        partial_corr_recursive(EQUI, 0, 1, [5])
+        partial_corr_inverse(EQUI, 0, 1, [5])
     with pytest.raises(ValueError):
-        partial_corr_recursive(EQUI, 0, 1, [2, 2])
+        partial_corr_inverse(EQUI, 0, 1, [2, 2])
 
 
 def test_recursion_degenerate_denominator():

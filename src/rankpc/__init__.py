@@ -3,166 +3,25 @@
 Estimates the CPDAG of a sparse DAG model from data whose margins may be
 arbitrarily (monotonically) transformed, by running the PC algorithm on
 rank correlation estimates of the latent Gaussian correlation matrix.
+
+The package exports the public names of every library module, as listed in
+each module's ``__all__``.  The command-line front end, ``rankpc.cli``, is
+not imported here, so ``python -m rankpc.cli`` runs it without a warning.
 """
 
-from .correlation import (
-    METHODS,
-    Dataset,
-    TieError,
-    estimate_correlation_matrix,
-    estimation_tail_bound,
-    kendall_tau,
-    pearson,
-    ranks,
-    sine_transform_kendall,
-    sine_transform_spearman,
-    spearman_rho,
-    tail_bound_constants,
-    validate_correlation_matrix,
-)
-from .citest import (
-    VARIANTS,
-    CiDecider,
-    OracleDecider,
-    RankCiDecider,
-    TestConfig,
-    gamma_threshold,
-)
-from .experiment import (
-    REGIMES,
-    ExperimentConfig,
-    ExperimentRecord,
-    ExperimentResult,
-    SummaryRow,
-    load_config,
-    parse_config_text,
-    records_from_csv,
-    records_to_csv,
-    run_experiment,
-    summarize,
-    summary_to_csv,
-    write_plot_data,
-)
-from .graph import (
-    Dag,
-    EdgeState,
-    Pdag,
-    cpdag,
-    d_separated,
-    d_separated_sets,
-    dag_from_text,
-    dag_to_text,
-    degree,
-    markov_equivalent,
-    meek_closure,
-    pdag_from_text,
-    pdag_to_text,
-    shd,
-    skeleton,
-    unshielded_colliders,
-)
-from .partial import (
-    BoundInputs,
-    NotPositiveDefiniteError,
-    PartialCorrelations,
-    inverse_error_bound_holds,
-    min_nonzero_partial_corr,
-    min_submatrix_eigenvalue,
-    normalized_offdiag_bound_holds,
-    partial_corr_inverse,
-    rank_pc_error_bound,
-)
-from .pc import PcResult, SkeletonResult, pc_result_to_text, pc_skeleton, run_pc
-from .simulate import (
-    NOISES,
-    TRANSFORMS,
-    SemModel,
-    contaminated_noise,
-    derive_seed,
-    f11_transform,
-    implied_covariance,
-    random_dag,
-    random_weights,
-    sample_sem,
-    sem_from_text,
-    sem_to_text,
-)
+from . import citest, correlation, experiment, graph, partial, pc, simulate
+from .citest import *
+from .correlation import *
+from .experiment import *
+from .graph import *
+from .partial import *
+from .pc import *
+from .simulate import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "METHODS",
-    "NOISES",
-    "REGIMES",
-    "TRANSFORMS",
-    "VARIANTS",
-    "BoundInputs",
-    "CiDecider",
-    "Dag",
-    "Dataset",
-    "EdgeState",
-    "ExperimentConfig",
-    "ExperimentRecord",
-    "ExperimentResult",
-    "NotPositiveDefiniteError",
-    "OracleDecider",
-    "PartialCorrelations",
-    "PcResult",
-    "Pdag",
-    "RankCiDecider",
-    "SemModel",
-    "SkeletonResult",
-    "SummaryRow",
-    "TestConfig",
-    "TieError",
-    "contaminated_noise",
-    "cpdag",
-    "d_separated",
-    "d_separated_sets",
-    "dag_from_text",
-    "dag_to_text",
-    "degree",
-    "derive_seed",
-    "estimate_correlation_matrix",
-    "estimation_tail_bound",
-    "f11_transform",
-    "gamma_threshold",
-    "implied_covariance",
-    "inverse_error_bound_holds",
-    "kendall_tau",
-    "load_config",
-    "markov_equivalent",
-    "meek_closure",
-    "min_nonzero_partial_corr",
-    "min_submatrix_eigenvalue",
-    "normalized_offdiag_bound_holds",
-    "parse_config_text",
-    "partial_corr_inverse",
-    "pc_result_to_text",
-    "pc_skeleton",
-    "pdag_from_text",
-    "pdag_to_text",
-    "pearson",
-    "random_dag",
-    "random_weights",
-    "rank_pc_error_bound",
-    "ranks",
-    "records_from_csv",
-    "records_to_csv",
-    "run_experiment",
-    "run_pc",
-    "sample_sem",
-    "sem_from_text",
-    "sem_to_text",
-    "shd",
-    "sine_transform_kendall",
-    "sine_transform_spearman",
-    "skeleton",
-    "spearman_rho",
-    "summarize",
-    "summary_to_csv",
-    "tail_bound_constants",
-    "unshielded_colliders",
-    "validate_correlation_matrix",
-    "write_plot_data",
+    name
+    for module in (correlation, citest, experiment, graph, partial, pc, simulate)
+    for name in module.__all__
 ]

@@ -23,6 +23,7 @@ from .graph import Dag, d_separated
 from .partial import NotPositiveDefiniteError, PartialCorrelations
 
 __all__ = [
+    "VARIANTS",
     "TestConfig",
     "CiDecider",
     "RankCiDecider",

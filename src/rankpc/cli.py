@@ -19,6 +19,7 @@ import numpy as np
 
 from .citest import OracleDecider
 from .experiment import (
+    ConfigError,
     ExperimentConfig,
     _replicate_model,
     load_config,
@@ -189,26 +190,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_from_args(parser: argparse.ArgumentParser, args) -> ExperimentConfig:
+    """The --config file with --seed and --max-cond applied; any error exits via parser.error."""
+    overrides = {"seed": args.seed, "max_cond": getattr(args, "max_cond", None)}
+    try:
+        config = load_config(args.config)
+        return replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    except (OSError, UnicodeError, ConfigError) as err:
+        parser.error(str(err))
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "oracle-check":
         report = cmd_oracle_check(p_max=args.p_max, trials=args.trials, seed=args.seed)
         print(report.message())
         return 0 if report.exact == report.trials and report.within_degree else 1
     if args.command == "simulate":
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        written = cmd_simulate(config, args.out)
+        written = cmd_simulate(_config_from_args(parser, args), args.out)
         print(f"wrote {len(written)} files to {args.out}")
         return 0
     if args.command == "experiment":
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.max_cond is not None:
-            config = replace(config, max_cond=args.max_cond)
-        info = cmd_experiment(config, args.out, threads=args.threads)
+        info = cmd_experiment(_config_from_args(parser, args), args.out, threads=args.threads)
         print(f"wrote {info['n_records']} records to {info['records']}")
         for row in info["rows"]:
             print(

@@ -248,6 +248,7 @@ def _kendall_tau_matrix(rank_cols: np.ndarray) -> np.ndarray:
 
 
 def _finish(mat: np.ndarray) -> np.ndarray:
+    """Symmetrise, clip into [-1, 1] and set a unit diagonal."""
     mat = (mat + mat.T) / 2.0
     mat = np.clip(mat, -1.0, 1.0)
     np.fill_diagonal(mat, 1.0)
@@ -279,17 +280,20 @@ def estimate_correlation_matrix(data: Dataset, method: str) -> np.ndarray:
     return _finish(np.sin(np.pi * _kendall_tau_matrix(rank_cols) / 2.0))
 
 
-def validate_correlation_matrix(sigma, atol: float = 1e-8) -> np.ndarray:
-    """Check square shape, symmetry, unit diagonal, and entry range."""
+_ATOL = 1e-8
+
+
+def validate_correlation_matrix(sigma) -> np.ndarray:
+    """Check square shape, symmetry, unit diagonal, and entry range, up to ``_ATOL``."""
     mat = np.asarray(sigma, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"correlation matrix must be square, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise ValueError("correlation matrix contains non-finite entries")
-    if not np.all(np.abs(mat - mat.T) <= atol):
+    if not np.all(np.abs(mat - mat.T) <= _ATOL):
         raise ValueError("correlation matrix is not symmetric")
-    if not np.all(np.abs(np.diagonal(mat) - 1.0) <= atol):
+    if not np.all(np.abs(np.diagonal(mat) - 1.0) <= _ATOL):
         raise ValueError("correlation matrix diagonal is not 1")
-    if np.any(np.abs(mat) > 1.0 + atol):
+    if np.any(np.abs(mat) > 1.0 + _ATOL):
         raise ValueError("correlation matrix has entries outside [-1, 1]")
     return mat

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import configparser
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from time import perf_counter
 
@@ -299,47 +300,47 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     return ExperimentResult(records, failures)
 
 
-_CSV_HEADER = "p,n,d,regime,method,alpha,replicate,seed,shd,tests_run,max_cond_used,runtime_ms"
+# dataclass field type -> (parser of a CSV cell, format field that writes it);
+# floats get 17 significant digits, so they read back exactly
+_CSV_TYPES = {"int": (int, "{}"), "float": (float, "{:.17g}"), "str": (str, "{}")}
+
+
+def _csv_header(cls) -> str:
+    return ",".join(f.name for f in fields(cls))
+
+
+def _write_csv(path, rows, cls) -> None:
+    """One column per field of the dataclass ``cls``, in field order.
+
+    ``runtime_ms`` keeps microseconds; every other field is written as its
+    type's entry in ``_CSV_TYPES`` says.
+    """
+    cols = fields(cls)
+    cells = ["{:.3f}" if f.name == "runtime_ms" else _CSV_TYPES[f.type][1] for f in cols]
+    line = ",".join(cells) + "\n"
+    values = attrgetter(*(f.name for f in cols))
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_header(cls) + "\n")
+        fh.writelines(line.format(*values(r)) for r in rows)
 
 
 def records_to_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_CSV_HEADER + "\n")
-        for r in sorted(records, key=_record_sort_key):
-            fh.write(
-                f"{r.p},{r.n},{format(r.d, '.17g')},{r.regime},{r.method},"
-                f"{format(r.alpha, '.17g')},{r.replicate},{r.seed},{r.shd},"
-                f"{r.tests_run},{r.max_cond_used},{format(r.runtime_ms, '.3f')}\n"
-            )
+    _write_csv(path, sorted(records, key=_record_sort_key), ExperimentRecord)
 
 
 def records_from_csv(path) -> list[ExperimentRecord]:
     lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _CSV_HEADER:
+    if not lines or lines[0] != _csv_header(ExperimentRecord):
         raise ValueError(f"unexpected records header in {path}")
+    parsers = [_CSV_TYPES[f.type][0] for f in fields(ExperimentRecord)]
     out = []
     for ln in lines[1:]:
         if not ln:
             continue
         parts = ln.split(",")
-        if len(parts) != 12:
+        if len(parts) != len(parsers):
             raise ValueError(f"malformed records line: {ln!r}")
-        out.append(
-            ExperimentRecord(
-                p=int(parts[0]),
-                n=int(parts[1]),
-                d=float(parts[2]),
-                regime=parts[3],
-                method=parts[4],
-                alpha=float(parts[5]),
-                replicate=int(parts[6]),
-                seed=int(parts[7]),
-                shd=int(parts[8]),
-                tests_run=int(parts[9]),
-                max_cond_used=int(parts[10]),
-                runtime_ms=float(parts[11]),
-            )
-        )
+        out.append(ExperimentRecord(*(parse(x) for parse, x in zip(parsers, parts))))
     return out
 
 
@@ -378,13 +379,7 @@ def summarize(records) -> list[SummaryRow]:
 
 
 def summary_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("p,n,d,regime,method,best_alpha,mean_shd,replicates\n")
-        for r in rows:
-            fh.write(
-                f"{r.p},{r.n},{format(r.d, '.17g')},{r.regime},{r.method},"
-                f"{format(r.best_alpha, '.17g')},{format(r.mean_shd, '.17g')},{r.replicates}\n"
-            )
+    _write_csv(path, rows, SummaryRow)
 
 
 def write_plot_data(records, out_dir) -> list[Path]:

@@ -87,22 +87,9 @@ class Dag:
         self.edges = frozenset(edge_set)
         self._parents = tuple(tuple(sorted(xs)) for xs in parents)
         self._children = tuple(tuple(sorted(xs)) for xs in children)
-        self._topo = self._toposort()
-
-    def _toposort(self) -> tuple[int, ...]:
-        indeg = [len(self._parents[v]) for v in range(self.p)]
-        queue = deque(v for v in range(self.p) if indeg[v] == 0)
-        order: list[int] = []
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in self._children[u]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(order) != self.p:
+        self._topo = tuple(_topological_order(p, self._children))
+        if len(self._topo) != p:
             raise ValueError("edge set contains a directed cycle")
-        return tuple(order)
 
     def parents(self, v: int) -> tuple[int, ...]:
         return self._parents[v]
@@ -132,6 +119,28 @@ class Dag:
 
     def __repr__(self) -> str:
         return f"Dag(p={self.p}, edges={sorted(self.edges)})"
+
+
+def _topological_order(p: int, children) -> list[int]:
+    """Kahn's order of the nodes 0..p-1 under the arrows u -> children[u].
+
+    Nodes on or downstream of a directed cycle never reach in-degree zero,
+    so the order is shorter than p exactly when the arrows close a cycle.
+    """
+    indeg = [0] * p
+    for ws in children:
+        for w in ws:
+            indeg[w] += 1
+    queue = deque(v for v in range(p) if indeg[v] == 0)
+    order: list[int] = []
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for w in children[u]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return order
 
 
 class EdgeState(IntEnum):
@@ -165,13 +174,9 @@ class Pdag:
         """State of the pair, from the perspective (u, v): FORWARD means u -> v."""
         if u == v or not (0 <= u < self.p and 0 <= v < self.p):
             raise ValueError(f"invalid pair ({u}, {v}) for p={self.p}")
-        if u < v:
-            return self._states.get((u, v), EdgeState.ABSENT)
-        st = self._states.get((v, u), EdgeState.ABSENT)
-        if st == EdgeState.FORWARD:
-            return EdgeState.BACKWARD
-        if st == EdgeState.BACKWARD:
-            return EdgeState.FORWARD
+        st = self._states.get((u, v) if u < v else (v, u), EdgeState.ABSENT)
+        if st in (EdgeState.FORWARD, EdgeState.BACKWARD):
+            return EdgeState.FORWARD if _arrow_in(self._states, u, v) else EdgeState.BACKWARD
         return st
 
     def is_adjacent(self, u: int, v: int) -> bool:
@@ -186,13 +191,11 @@ class Pdag:
         return tuple(out)
 
     def directed_edges(self) -> list[tuple[int, int]]:
-        out = []
-        for (u, v), st in self._states.items():
-            if st == EdgeState.FORWARD:
-                out.append((u, v))
-            elif st == EdgeState.BACKWARD:
-                out.append((v, u))
-        return sorted(out)
+        return sorted(
+            (u, v) if _arrow_in(self._states, u, v) else (v, u)
+            for (u, v), st in self._states.items()
+            if st != EdgeState.UNDIRECTED
+        )
 
     def undirected_edges(self) -> list[tuple[int, int]]:
         return sorted(k for k, st in self._states.items() if st == EdgeState.UNDIRECTED)
@@ -205,22 +208,10 @@ class Pdag:
 
     def has_directed_cycle(self) -> bool:
         """Check the directed subgraph for cycles (well-formed CPDAGs have none)."""
-        arrows = self.directed_edges()
-        children: dict[int, list[int]] = {}
-        indeg = [0] * self.p
-        for a, b in arrows:
-            children.setdefault(a, []).append(b)
-            indeg[b] += 1
-        queue = deque(v for v in range(self.p) if indeg[v] == 0)
-        seen = 0
-        while queue:
-            u = queue.popleft()
-            seen += 1
-            for w in children.get(u, ()):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        return seen != self.p
+        children: list[list[int]] = [[] for _ in range(self.p)]
+        for a, b in self.directed_edges():
+            children[a].append(b)
+        return len(_topological_order(self.p, children)) != self.p
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pdag):
@@ -228,15 +219,8 @@ class Pdag:
         return self.p == other.p and self._states == other._states
 
     def __repr__(self) -> str:
-        parts = []
-        for (u, v), st in sorted(self._states.items()):
-            if st == EdgeState.UNDIRECTED:
-                parts.append(f"{u} -- {v}")
-            elif st == EdgeState.FORWARD:
-                parts.append(f"{u} -> {v}")
-            else:
-                parts.append(f"{v} -> {u}")
-        return f"Pdag(p={self.p}, [{', '.join(parts)}])"
+        edges = pdag_to_text(self).splitlines()[1:]
+        return f"Pdag(p={self.p}, [{', '.join(edges)}])"
 
 
 def degree(dag: Dag) -> int:
@@ -463,14 +447,15 @@ def dag_to_text(dag: Dag) -> str:
 
 
 def pdag_to_text(pdag: Pdag) -> str:
+    """Header, then one line per adjacent pair in sorted pair order."""
+    states = pdag.pair_states()
     lines = [f"p={pdag.p}"]
-    for (u, v), st in sorted(pdag.pair_states().items()):
-        if st == EdgeState.UNDIRECTED:
+    for u, v in sorted(states):
+        if states[(u, v)] == EdgeState.UNDIRECTED:
             lines.append(f"{u} -- {v}")
-        elif st == EdgeState.FORWARD:
-            lines.append(f"{u} -> {v}")
         else:
-            lines.append(f"{v} -> {u}")
+            a, b = (u, v) if _arrow_in(states, u, v) else (v, u)
+            lines.append(f"{a} -> {b}")
     return "\n".join(lines) + "\n"
 
 
@@ -509,5 +494,5 @@ def pdag_from_text(text: str) -> Pdag:
         if mark == "--":
             states[key] = EdgeState.UNDIRECTED
         else:
-            states[key] = EdgeState.FORWARD if u < v else EdgeState.BACKWARD
+            _set_arrow(states, u, v)
     return Pdag(p, states)

@@ -127,12 +127,12 @@ def partial_corr_inverse(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:
     return r
 
 
-def min_nonzero_partial_corr(sigma, q: int | None = None, zero_tol: float = ZERO_TOL):
+def min_nonzero_partial_corr(sigma, q: int | None = None):
     """Smallest nonzero |partial correlation| over conditioning sets.
 
     With ``q`` given, restricts to |S| <= q - 2, which equals the minimum of
     the unrestricted functional over all q x q principal submatrices.  Values
-    at or below ``zero_tol`` in absolute value count as zero.  Returns None
+    at or below ``ZERO_TOL`` in absolute value count as zero.  Returns None
     when every partial correlation vanishes (e.g. the identity matrix).
     Exhaustive enumeration: intended for small p.
     """
@@ -154,7 +154,7 @@ def min_nonzero_partial_corr(sigma, q: int | None = None, zero_tol: float = ZERO
                 bad = np.flatnonzero(np.isnan(vals))
                 if bad.size:
                     raise NotPositiveDefiniteError((u, v) + conds[bad[0]])
-                nonzero = vals[vals > zero_tol]
+                nonzero = vals[vals > ZERO_TOL]
                 if nonzero.size and (best is None or nonzero.min() < best):
                     best = float(nonzero.min())
     return best

@@ -10,14 +10,13 @@ standard Cauchy) that preserves ranks while destroying moments.
 from __future__ import annotations
 
 import hashlib
-import math
 from itertools import combinations
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
-from .correlation import Dataset
+from .correlation import Dataset, _finish
 from .graph import Dag
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "sample_sem",
     "implied_covariance",
     "f11_transform",
-    "contaminated_noise",
     "derive_seed",
     "sem_to_text",
     "sem_from_text",
@@ -95,26 +93,16 @@ def random_dag(p: int, s: float, rng: np.random.Generator) -> Dag:
     return Dag(p, [pair for pair, t in zip(pairs, draws) if t < s])
 
 
-def random_weights(
-    dag: Dag, rng: np.random.Generator, low: float = 0.1, high: float = 1.0
-) -> np.ndarray:
-    """Independent Uniform(low, high) weight per edge, drawn in sorted edge order."""
-    if not low < high:
-        raise ValueError(f"need low < high, got {low}, {high}")
+def random_weights(dag: Dag, rng: np.random.Generator) -> np.ndarray:
+    """Independent Uniform(0.1, 1) weight per edge, drawn in sorted edge order."""
     w = np.zeros((dag.p, dag.p))
     for u, v in sorted(dag.edges):
-        w[u, v] = rng.uniform(low, high)
+        w[u, v] = rng.uniform(0.1, 1.0)
     return w
 
 
-def contaminated_noise(rng: np.random.Generator) -> float:
-    """One draw from the 0.8 N(0,1) + 0.2 standard Cauchy mixture."""
-    if rng.random() < 0.8:
-        return float(rng.standard_normal())
-    return math.tan(math.pi * (rng.random() - 0.5))
-
-
 def _draw_noise(noise: str, n: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """An n x p noise matrix; 'cauchy_mixture' is 0.8 N(0,1) + 0.2 standard Cauchy."""
     if noise == "standard_normal":
         return rng.standard_normal((n, p))
     pick = rng.random((n, p))
@@ -143,11 +131,7 @@ def implied_covariance(model: SemModel) -> np.ndarray:
         raise ValueError(f"population correlations undefined for noise {model.noise!r}")
     cov = _implied_raw_covariance(model)
     d = np.sqrt(np.diag(cov))
-    corr = cov / np.outer(d, d)
-    corr = (corr + corr.T) / 2.0
-    corr = np.clip(corr, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
-    return corr
+    return _finish(cov / np.outer(d, d))
 
 
 def f11_transform(u):

@@ -156,6 +156,24 @@ def cpdag_by_enumeration(dag: Dag) -> Pdag:
     return Pdag(p, states)
 
 
+def cyclic_by_permutations(pdag: Pdag) -> bool:
+    """Do the arrows close a directed cycle?  True when no node order puts them all forward.
+
+    Reads the arrows off the raw pair states, so it shares no decoding with
+    the Pdag methods.  Feasible up to p = 7.
+    """
+    arrows = [
+        (u, v) if st == EdgeState.FORWARD else (v, u)
+        for (u, v), st in pdag.pair_states().items()
+        if st in (EdgeState.FORWARD, EdgeState.BACKWARD)
+    ]
+    for order in permutations(range(pdag.p)):
+        position = {node: i for i, node in enumerate(order)}
+        if all(position[a] < position[b] for a, b in arrows):
+            return False
+    return True
+
+
 def random_correlation(rng: np.random.Generator, p: int, extra: int = 5) -> np.ndarray:
     """Random positive definite correlation matrix via a normalized Gram matrix."""
     g = rng.standard_normal((p, p + extra))

@@ -186,8 +186,28 @@ def test_main_plotdata(tmp_path, capsys):
     assert len(lines) == 2  # one method at one sample size
 
 
-def test_main_rejects_bad_usage():
+def test_main_rejects_bad_usage(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main([])
     with pytest.raises(SystemExit):
         main(["oracle-check", "--no-such-flag"])
+    good = tmp_path / "exp.ini"
+    good.write_text(EXP_TEXT)
+    unknown = tmp_path / "unknown.ini"
+    unknown.write_text(EXP_TEXT + "colour = red\n")
+    out = str(tmp_path / "out")
+    cases = [
+        (["experiment", "--config", str(unknown), "--out", out], "unknown config keys: colour"),
+        (["simulate", "--config", str(tmp_path / "missing.ini"), "--out", out], "missing.ini"),
+        (
+            ["experiment", "--config", str(good), "--out", out, "--max-cond", "-1"],
+            "max_cond must be nonnegative",
+        ),
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

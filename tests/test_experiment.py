@@ -221,8 +221,9 @@ def test_records_csv_round_trip_exact(tmp_path):
     path = tmp_path / "records.csv"
     records_to_csv(records, path)
     assert records_from_csv(path) == records
-    header = path.read_text().splitlines()[0]
-    assert header == "p,n,d,regime,method,alpha,replicate,seed,shd,tests_run,max_cond_used,runtime_ms"
+    lines = path.read_text().splitlines()
+    assert lines[0] == "p,n,d,regime,method,alpha,replicate,seed,shd,tests_run,max_cond_used,runtime_ms"
+    assert lines[1] == "6,100,2,normal,spearman,0.01,0,12345,3,40,2,1.500"
 
 
 def test_records_csv_real_run_round_trip(tmp_path):

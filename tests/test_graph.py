@@ -24,7 +24,13 @@ from rankpc.graph import (
     _meek_fixpoint,
 )
 
-from oracles import cpdag_by_enumeration, dsep_by_paths, random_dag_edges, rebuilding_meek_fixpoint
+from oracles import (
+    cpdag_by_enumeration,
+    cyclic_by_permutations,
+    dsep_by_paths,
+    random_dag_edges,
+    rebuilding_meek_fixpoint,
+)
 
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -211,6 +217,22 @@ def test_meek_fixpoint_matches_rebuilding_loop(data, p):
     assert list(states.items()) == list(want.items())
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.integers(1, 7))
+def test_directed_cycle_and_text_round_trip_match_oracle(data, p):
+    pairs = list(combinations(range(p), 2))
+    kinds = data.draw(
+        st.lists(
+            st.sampled_from([None, EdgeState.UNDIRECTED, EdgeState.FORWARD, EdgeState.BACKWARD]),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    g = Pdag(p, {pair: kind for pair, kind in zip(pairs, kinds) if kind is not None})
+    assert g.has_directed_cycle() == cyclic_by_permutations(g)
+    assert pdag_from_text(pdag_to_text(g)) == g
+
+
 def test_shd_frozen_example():
     assert shd(cpdag(CHAIN), cpdag(COLLIDER)) == 2
 
@@ -242,6 +264,16 @@ def test_pdag_state_perspective():
     assert g.has_arrow(0, 1) and not g.has_arrow(1, 0)
     assert g.neighbors(1) == (0,)
     assert g.directed_edges() == [(0, 1)]
+    mixed = Pdag(
+        4, {(0, 1): EdgeState.BACKWARD, (1, 2): EdgeState.UNDIRECTED, (2, 3): EdgeState.FORWARD}
+    )
+    assert (mixed.state(0, 1), mixed.state(1, 0)) == (EdgeState.BACKWARD, EdgeState.FORWARD)
+    assert (mixed.state(1, 2), mixed.state(2, 1)) == (EdgeState.UNDIRECTED, EdgeState.UNDIRECTED)
+    assert (mixed.state(2, 3), mixed.state(3, 2)) == (EdgeState.FORWARD, EdgeState.BACKWARD)
+    assert (mixed.state(0, 3), mixed.state(3, 0)) == (EdgeState.ABSENT, EdgeState.ABSENT)
+    assert mixed.directed_edges() == [(1, 0), (2, 3)]
+    assert repr(mixed) == "Pdag(p=4, [1 -> 0, 1 -- 2, 2 -> 3])"
+    assert pdag_from_text("p=4\n1 -> 0\n2 -- 1\n2 -> 3\n") == mixed
 
 
 def test_dag_text_round_trip():

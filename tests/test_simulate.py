@@ -9,7 +9,6 @@ from rankpc.graph import Dag, d_separated
 from rankpc.partial import partial_corr_inverse
 from rankpc.simulate import (
     SemModel,
-    contaminated_noise,
     derive_seed,
     f11_transform,
     implied_covariance,
@@ -98,24 +97,17 @@ def test_random_weights_support_and_mean():
 def test_random_weights_empty_graph_and_validation():
     rng = np.random.default_rng(2)
     assert np.all(random_weights(Dag(3), rng) == 0.0)
-    with pytest.raises(ValueError):
-        random_weights(Dag(3), rng, low=1.0, high=0.5)
 
 
 def test_contaminated_noise_median_and_tail():
     rng = np.random.default_rng(127)
-    draws = np.array([contaminated_noise(rng) for _ in range(100_000)])
+    model = SemModel(Dag(4), np.zeros((4, 4)), noise="cauchy_mixture")
+    draws = sample_sem(model, 25_000, rng).values.ravel()
     assert abs(np.median(draws)) < 0.02
     tail = np.mean(np.abs(draws) > 10.0)
     want = 0.2 * (1.0 - (2.0 / math.pi) * math.atan(10.0))
     assert want == pytest.approx(0.0127, abs=3e-4)
     assert abs(tail - want) < 0.003
-
-
-def test_contaminated_noise_reproducible():
-    a = [contaminated_noise(np.random.default_rng(5)) for _ in range(1)]
-    b = [contaminated_noise(np.random.default_rng(5)) for _ in range(1)]
-    assert a == b
 
 
 def test_sample_sem_empty_graph_is_plain_noise():
@@ -133,12 +125,13 @@ def test_sample_sem_single_edge_correlation():
 
 
 def test_sample_sem_deterministic_and_validated():
-    model = _model(4, [(0, 2), (1, 3)])
-    a = sample_sem(model, 30, np.random.default_rng(3))
-    b = sample_sem(model, 30, np.random.default_rng(3))
-    assert a == b
-    with pytest.raises(ValueError):
-        sample_sem(model, 0, np.random.default_rng(3))
+    for noise in ("standard_normal", "cauchy_mixture"):
+        model = _model(4, [(0, 2), (1, 3)], noise=noise)
+        a = sample_sem(model, 30, np.random.default_rng(3))
+        b = sample_sem(model, 30, np.random.default_rng(3))
+        assert a == b
+        with pytest.raises(ValueError):
+            sample_sem(model, 0, np.random.default_rng(3))
 
 
 def test_implied_covariance_empty_graph_identity():

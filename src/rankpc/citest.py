@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
 from scipy.special import ndtri
 
 from .correlation import METHODS
@@ -131,8 +130,9 @@ class RankCiDecider(CiDecider):
     """Decider backed by the partial correlations of one correlation matrix.
 
     ``sigma`` is a correlation matrix or a :class:`PartialCorrelations` over
-    one; passing the same instance to several deciders shares its memo.  Both
-    variants decide |r| <= gamma at each level, with the fisher_z cutoff from
+    one; passing the same instance to several deciders shares its memo, which
+    ``first_independent`` reads before it calls ``batch``.  Both variants
+    decide |r| <= gamma at each level, with the fisher_z cutoff from
     :func:`gamma_threshold`.  A submatrix that is not positive definite yields
     a 'dependent' answer and a warning rather than an exception, so a run on
     badly conditioned estimates degrades to keeping edges instead of crashing.
@@ -167,7 +167,12 @@ class RankCiDecider(CiDecider):
         gamma = self._gammas.get(len(subsets[0]))
         if gamma is None:
             gamma = self._gamma(len(subsets[0]))
-        for i, r in enumerate(self.partials.batch(a, b, subsets)):
+        known = self.partials.memo.get((a, b), {})
+        try:
+            rs = [known[s] for s in subsets]
+        except KeyError:
+            rs = self.partials.batch(a, b, subsets)
+        for i, r in enumerate(rs):
             if abs(r) <= gamma:
                 return i
             if math.isnan(r):
@@ -176,13 +181,15 @@ class RankCiDecider(CiDecider):
         return None
 
     def marginally_independent(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
-        rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-        r = self.partials.marginal[rows[:, 0], rows[:, 1]]
-        for k in np.flatnonzero(np.isnan(r)):
-            u, v = pairs[k]
-            warning = f"dependent by default for ({u}, {v} | ()): {NotPositiveDefiniteError((u, v))}"
-            self.warnings += [warning, warning]  # asked from both sides, as a kept pair is
-        return (np.abs(r) <= self._gamma(0)).tolist()
+        m = self.partials.marginal
+        if self.partials.has_nonpd_marginal:
+            for u, v in pairs:
+                if math.isnan(m[u][v]):
+                    err = NotPositiveDefiniteError((u, v) if u < v else (v, u))
+                    warning = f"dependent by default for ({u}, {v} | ()): {err}"
+                    self.warnings += [warning, warning]  # asked from both sides, as a kept pair is
+        gamma = self._gamma(0)
+        return [abs(m[u][v]) <= gamma for u, v in pairs]
 
     def decide(self, u: int, v: int, s: Iterable[int] = ()) -> bool:
         return self.first_independent(u, v, [tuple(sorted(s))]) is not None

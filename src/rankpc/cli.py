@@ -39,7 +39,6 @@ __all__ = [
     "cmd_oracle_check",
     "cmd_simulate",
     "cmd_experiment",
-    "cmd_plotdata",
     "main",
 ]
 
@@ -157,10 +156,17 @@ def cmd_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     }
 
 
-def cmd_plotdata(records_path, out_dir) -> list[Path]:
-    """Summarize a records file into per-(regime, degree, p) plot tables."""
-    records = records_from_csv(records_path)
-    return write_plot_data(records, out_dir)
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when the text is not an integer
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -168,9 +174,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     oc = sub.add_parser("oracle-check", help="exactness check against a d-separation oracle")
-    oc.add_argument("--p-max", type=int, default=6, help="largest node count to draw")
-    oc.add_argument("--trials", type=int, default=200)
-    oc.add_argument("--seed", type=int, default=0)
+    oc.add_argument("--p-max", type=int, choices=range(1, 9), default=6,
+                    help="largest node count to draw")
+    oc.add_argument("--trials", type=_at_least(0), default=200)
+    oc.add_argument("--seed", type=_at_least(0), default=0)
 
     sim = sub.add_parser("simulate", help="write datasets and models for a config")
     sim.add_argument("--config", required=True, help="experiment config file")
@@ -181,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", required=True, help="experiment config file")
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    exp.add_argument("--threads", type=int, default=1, help="worker processes")
+    exp.add_argument("--threads", type=_at_least(1), default=1, help="worker processes")
     exp.add_argument("--max-cond", type=int, default=None, help="cap conditioning-set size")
 
     plot = sub.add_parser("plotdata", help="condense records into plot tables")
@@ -224,7 +231,11 @@ def main(argv=None) -> int:
             print(f"{info['n_failures']} failed runs listed in {info['failures']}")
         return 0
     if args.command == "plotdata":
-        paths = cmd_plotdata(args.records, args.out)
+        try:
+            records = records_from_csv(args.records)
+        except (OSError, UnicodeError, ValueError) as err:
+            parser.error(str(err))
+        paths = write_plot_data(records, args.out)
         print(f"wrote {len(paths)} plot files to {args.out}")
         return 0
     raise AssertionError(f"unhandled command {args.command!r}")

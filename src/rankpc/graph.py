@@ -2,7 +2,9 @@
 
 Nodes are integers 0..p-1.  A :class:`Dag` stores directed edges; a
 :class:`Pdag` stores one state per unordered pair (absent, directed either
-way, or undirected) and is the output type of structure learning.
+way, or undirected) and is the output type of structure learning.  The
+orientation closure reads its rules off per-node integer bitmasks of
+parents, children and undirected neighbours.
 """
 
 from __future__ import annotations
@@ -237,12 +239,9 @@ def unshielded_colliders(dag: Dag) -> set[tuple[int, int, int]]:
     """Triples (u, v, w), u < w, with u -> v <- w and u, w nonadjacent."""
     out = set()
     for v in range(dag.p):
-        pa = dag.parents(v)
-        for i in range(len(pa)):
-            for j in range(i + 1, len(pa)):
-                u, w = pa[i], pa[j]
-                if not dag.is_adjacent(u, w):
-                    out.add((u, v, w))
+        for u, w in combinations(dag.parents(v), 2):
+            if not dag.is_adjacent(u, w):
+                out.add((u, v, w))
     return out
 
 
@@ -330,16 +329,6 @@ def _arrow_in(states: dict, a: int, b: int) -> bool:
     return states.get((b, a)) == EdgeState.BACKWARD
 
 
-def _undirected_in(states: dict, a: int, b: int) -> bool:
-    key = (a, b) if a < b else (b, a)
-    return states.get(key) == EdgeState.UNDIRECTED
-
-
-def _adjacent_in(states: dict, a: int, b: int) -> bool:
-    key = (a, b) if a < b else (b, a)
-    return key in states
-
-
 def _set_arrow(states: dict, a: int, b: int) -> None:
     if a < b:
         states[(a, b)] = EdgeState.FORWARD
@@ -347,25 +336,12 @@ def _set_arrow(states: dict, a: int, b: int) -> None:
         states[(b, a)] = EdgeState.BACKWARD
 
 
-def _compelled(states: dict, nbrs: list[list[int]], a: int, b: int) -> bool:
-    """Does a closure rule orient the undirected edge a - b into a -> b?
-
-    Rule 1 fires when some c -> a has c, b nonadjacent (avoids a new
-    collider).  Rule 2 fires on a directed path a -> c -> b (avoids a cycle).
-    Rule 3 fires when two nonadjacent nodes c, d are undirected neighbors of
-    a and both point at b.
-    """
-    for c in nbrs[a]:
-        if c != b and _arrow_in(states, c, a) and not _adjacent_in(states, c, b):
-            return True
-    for c in nbrs[a]:
-        if c != b and _arrow_in(states, a, c) and _arrow_in(states, c, b):
-            return True
-    cands = [
-        c for c in nbrs[a] if c != b and _undirected_in(states, a, c) and _arrow_in(states, c, b)
-    ]
-    for c, d in combinations(cands, 2):
-        if not _adjacent_in(states, c, d):
+def _two_nonadjacent(m: int, adj: list[int]) -> bool:
+    """Do two nodes of the bitmask ``m`` lie nonadjacent under ``adj``?"""
+    while m:
+        low = m & -m
+        m ^= low
+        if m & ~adj[low.bit_length() - 1]:
             return True
     return False
 
@@ -374,25 +350,37 @@ def _meek_fixpoint(states: dict, p: int) -> None:
     """Orient undirected edges compelled by the three closure rules, in place.
 
     Passes over the pairs in sorted order until one changes nothing; each
-    undirected pair (u, v) is tried as u -> v, then as v -> u.  Orienting
-    never changes adjacency, so the pair order and the neighbor lists are
-    built once; visiting the pairs in sorted order appends to each list in
-    increasing order.
+    undirected pair (u, v) is tried as u -> v, then as v -> u.  The rules read
+    per-node bitmasks kept in step with ``states``: a - b becomes a -> b when
+    ``par[a] & ~adj[b]`` (rule 1: some c -> a, with c and b nonadjacent), when
+    ``chi[a] & par[b]`` (rule 2: a -> c -> b), or when ``und[a] & par[b]`` has
+    two nonadjacent bits (rule 3: c - a - d with c -> b <- d).
     """
+    adj, par, chi, und = ([0] * p for _ in range(4))
+    for (u, v), st in states.items():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        if st == EdgeState.UNDIRECTED:
+            und[u] |= 1 << v
+            und[v] |= 1 << u
+        elif st != EdgeState.ABSENT:
+            a, b = (u, v) if st == EdgeState.FORWARD else (v, u)
+            chi[a] |= 1 << b
+            par[b] |= 1 << a
     pairs = sorted(states)
-    nbrs: list[list[int]] = [[] for _ in range(p)]
-    for u, v in pairs:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
     changed = True
     while changed:
         changed = False
         for u, v in pairs:
-            if states[(u, v)] != EdgeState.UNDIRECTED:
+            if not und[u] >> v & 1:
                 continue
             for a, b in ((u, v), (v, u)):
-                if _compelled(states, nbrs, a, b):
+                if par[a] & ~adj[b] or chi[a] & par[b] or _two_nonadjacent(und[a] & par[b], adj):
                     _set_arrow(states, a, b)
+                    und[a] ^= 1 << b
+                    und[b] ^= 1 << a
+                    chi[a] |= 1 << b
+                    par[b] |= 1 << a
                     changed = True
                     break
 

@@ -82,33 +82,32 @@ class PartialCorrelations:
     Deciders at different significance levels ask largely the same queries,
     so sharing one instance between them computes each partial correlation
     once.  Every r(a, b | {}) is computed up front in one batch, since skeleton
-    search asks them all; ``marginal[a, b]`` holds it for a < b.  A NaN value
-    marks a submatrix that is not positive definite.
+    search asks them all; ``marginal[a][b]`` holds it for both orders of the
+    pair, as nested lists, and ``has_nonpd_marginal`` says whether any of them
+    is NaN.  ``memo[(a, b)][S]`` holds r(a, b | S) for a < b and nonempty S
+    once asked.  A NaN value marks a submatrix that is not positive definite.
     """
 
     def __init__(self, sigma):
         self.sigma = validate_correlation_matrix(sigma)
         p = self.sigma.shape[0]
-        pairs = np.stack(np.triu_indices(p, 1), axis=1)
-        self.marginal = np.full((p, p), math.nan)
-        self.marginal[pairs[:, 0], pairs[:, 1]] = partial_corr_batch(self.sigma, pairs)
-        self._memo: dict[tuple[int, int], dict[tuple[int, ...], float]] = {}
+        upper = np.triu_indices(p, 1)
+        r = partial_corr_batch(self.sigma, np.stack(upper, axis=1))
+        marginal = np.full((p, p), math.nan)
+        marginal[upper] = marginal.T[upper] = r
+        self.marginal: list[list[float]] = marginal.tolist()
+        self.has_nonpd_marginal = bool(np.isnan(r).any())
+        self.memo: dict[tuple[int, int], dict[tuple[int, ...], float]] = {}
 
     def batch(self, a: int, b: int, conds: Sequence[tuple[int, ...]]) -> list[float]:
         """r(a, b | S) for each S in ``conds``; needs a < b, each S sorted, all of one size."""
         if not conds[0]:
-            return [self.marginal[a, b]] * len(conds)
-        known = self._memo.get((a, b))
-        if known is None:
-            known = self._memo[(a, b)] = {}
-        else:
-            try:
-                return [known[c] for c in conds]
-            except KeyError:
-                pass
+            return [self.marginal[a][b]] * len(conds)
+        known = self.memo.setdefault((a, b), {})
         missing = [c for c in conds if c not in known]
-        values = partial_corr_batch(self.sigma, np.array([c + (a, b) for c in missing]))
-        known.update(zip(missing, values.tolist()))
+        if missing:
+            values = partial_corr_batch(self.sigma, np.array([c + (a, b) for c in missing]))
+            known.update(zip(missing, values.tolist()))
         return [known[c] for c in conds]
 
 

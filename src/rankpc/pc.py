@@ -1,9 +1,10 @@
 """The PC structure-learning algorithm over an abstract independence decider.
 
 Level-wise skeleton search followed by collider orientation and the
-orientation closure.  With a d-separation oracle the output is exactly the
-equivalence class of the data-generating DAG, and no query conditions on
-more than max-degree-many variables.
+orientation closure, both of which read per-node adjacency bitmasks.  With
+a d-separation oracle the output is exactly the equivalence class of the
+data-generating DAG, and no query conditions on more than max-degree-many
+variables.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .graph import (
     _arrow_in,
     _meek_fixpoint,
     _set_arrow,
-    _undirected_in,
     pdag_to_text,
 )
 
@@ -107,9 +107,9 @@ def pc_skeleton(
     max_used = 0
     level = 1
     while ceiling is None or level <= ceiling:
-        pairs = [(u, v) for u in range(p) for v in nbrs[u] if u < v]
-        if not any(len(nbrs[u]) > level or len(nbrs[v]) > level for u, v in pairs):
+        if max(map(len, nbrs)) <= level:
             break
+        pairs = [(u, v) for u in range(p) for v in nbrs[u] if u < v]
         frozen = [list(x) for x in nbrs] if stable else nbrs
         for u, v in pairs:
             if v not in nbrs[u]:
@@ -117,7 +117,9 @@ def pc_skeleton(
             for a, b in ((u, v), (v, u)):
                 if len(frozen[a]) <= level:
                     continue
-                subsets = list(combinations([x for x in frozen[a] if x != b], level))
+                cands = frozen[a].copy()  # b is in it, whether frozen or not
+                cands.remove(b)
+                subsets = list(combinations(cands, level))
                 max_used = level
                 i = decider.first_independent(u, v, subsets)
                 if i is None:
@@ -133,14 +135,6 @@ def pc_skeleton(
     return SkeletonResult(p, edges, sepsets, tests_run, max_used)
 
 
-def _force_arrow(states: dict, a: int, b: int, warnings: list[str]) -> None:
-    if not (_undirected_in(states, a, b) or _arrow_in(states, a, b)):
-        warnings.append(
-            f"orientation conflict on pair ({min(a, b)}, {max(a, b)}): overwriting with {a} -> {b}"
-        )
-    _set_arrow(states, a, b)
-
-
 def orient_colliders(
     edges: set[tuple[int, int]],
     sepsets: dict[tuple[int, int], tuple[int, ...]],
@@ -150,23 +144,33 @@ def orient_colliders(
 
     For each nonadjacent pair (u, w) with a recorded separating set and each
     common neighbor v: orient u -> v <- w exactly when v is outside the set.
-    Conflicting orientations are overwritten last-write-wins and noted in the
-    returned warnings.
+    The common neighbors are the bits of ``adj[u] & adj[w]``, with the set's
+    bits cleared, visited from the lowest up.  Conflicting orientations are
+    overwritten last-write-wins and noted in the returned warnings.
     """
     states = {pair: EdgeState.UNDIRECTED for pair in edges}
-    nbrs: list[set[int]] = [set() for _ in range(p)]
+    adj = [0] * p
     for u, v in edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     warnings: list[str] = []
-    for u, w in sorted(sepsets):
+    for (u, w), sep in sorted(sepsets.items()):
         if (u, w) in states:
             continue
-        sep = set(sepsets[(u, w)])
-        for v in sorted(nbrs[u] & nbrs[w]):
-            if v not in sep:
-                _force_arrow(states, u, v, warnings)
-                _force_arrow(states, w, v, warnings)
+        common = adj[u] & adj[w]
+        for x in sep:
+            common &= ~(1 << x)
+        while common:
+            low = common & -common
+            common ^= low
+            v = low.bit_length() - 1
+            for a in (u, w):  # u -> v, then w -> v
+                if _arrow_in(states, v, a):
+                    warnings.append(
+                        f"orientation conflict on pair {min(a, v), max(a, v)}: "
+                        f"overwriting with {a} -> {v}"
+                    )
+                _set_arrow(states, a, v)
     return states, warnings
 
 

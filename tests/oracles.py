@@ -442,3 +442,43 @@ def rebuilding_meek_fixpoint(states: dict, p: int) -> None:
                         break
                 if fired:
                     break
+
+
+# Collider orientation over neighbour sets, verbatim apart from its name, with
+# the conflict helper it calls; the sets it reads are what the bitmask
+# version replaced.
+def _force_arrow(states: dict, a: int, b: int, warnings: list[str]) -> None:
+    if not (_undirected_in(states, a, b) or _arrow_in(states, a, b)):
+        warnings.append(
+            f"orientation conflict on pair ({min(a, b)}, {max(a, b)}): overwriting with {a} -> {b}"
+        )
+    _set_arrow(states, a, b)
+
+
+def set_orient_colliders(
+    edges: set[tuple[int, int]],
+    sepsets: dict[tuple[int, int], tuple[int, ...]],
+    p: int,
+) -> tuple[dict[tuple[int, int], EdgeState], list[str]]:
+    """Turn unshielded triples into colliders when the middle node separated nothing.
+
+    For each nonadjacent pair (u, w) with a recorded separating set and each
+    common neighbor v: orient u -> v <- w exactly when v is outside the set.
+    Conflicting orientations are overwritten last-write-wins and noted in the
+    returned warnings.
+    """
+    states = {pair: EdgeState.UNDIRECTED for pair in edges}
+    nbrs: list[set[int]] = [set() for _ in range(p)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    warnings: list[str] = []
+    for u, w in sorted(sepsets):
+        if (u, w) in states:
+            continue
+        sep = set(sepsets[(u, w)])
+        for v in sorted(nbrs[u] & nbrs[w]):
+            if v not in sep:
+                _force_arrow(states, u, v, warnings)
+                _force_arrow(states, w, v, warnings)
+    return states, warnings

@@ -101,7 +101,7 @@ def test_rank_decider_threshold_variant():
     # the cutoff is inclusive: gamma = |r(0, 1 | S)| is independent, one ulp less is not
     sigma = random_correlation(np.random.default_rng(73), 3)
     partials = PartialCorrelations(sigma)
-    g0 = abs(float(partials.marginal[0, 1]))
+    g0 = abs(partials.marginal[0][1])
     g1 = abs(partials.batch(0, 1, [(2,)])[0])
     for gamma, independent in ((g0, True), (float(np.nextafter(g0, 0.0)), False)):
         dec = RankCiDecider(sigma, 50, TestConfig("threshold", gamma=gamma))
@@ -180,13 +180,18 @@ def test_marginally_independent_matches_base_loop(seed, p, degenerate, variant, 
         sigma[:3, :3] = NONPD_BLOCK
     elif degenerate == "unit":
         sigma[0, 1] = sigma[1, 0] = 1.0
-    pairs = [pair for pair in combinations(range(p), 2) if rng.random() < 0.7]
+    # either order of a pair, since the base class sorts it before asking
+    pairs = [
+        (u, v) if rng.random() < 0.5 else (v, u)
+        for u, v in combinations(range(p), 2)
+        if rng.random() < 0.7
+    ]
     partials = PartialCorrelations(sigma)
     if variant == "fisher_z":
         config = TestConfig("fisher_z", alpha=10.0 ** (-7.0 * cutoff - 0.5))
-    elif variant == "boundary" and not math.isnan(partials.marginal[p - 2, p - 1]):
+    elif variant == "boundary" and not math.isnan(partials.marginal[p - 2][p - 1]):
         # a cutoff equal to one |r(u, v | {})|: that pair is independent
-        config = TestConfig("threshold", gamma=abs(float(partials.marginal[p - 2, p - 1])))
+        config = TestConfig("threshold", gamma=abs(partials.marginal[p - 2][p - 1]))
     else:
         config = TestConfig("threshold", gamma=cutoff)
     batched = RankCiDecider(sigma, n, config)
@@ -195,6 +200,14 @@ def test_marginally_independent_matches_base_loop(seed, p, degenerate, variant, 
         want = CiDecider.marginally_independent(looped, pairs)
         assert batched.marginally_independent(pairs) == want
         assert batched.warnings == looped.warnings
+
+
+def test_marginally_independent_reads_either_pair_order():
+    sigma = np.array([[1.0, 0.05, 0.6], [0.05, 1.0, 0.2], [0.6, 0.2, 1.0]])
+    dec = RankCiDecider(sigma, 100, TestConfig("fisher_z", alpha=0.05))
+    assert dec.decide(1, 0, ())
+    assert dec.marginally_independent([(1, 0), (0, 1), (2, 0)]) == [True, True, False]
+    assert dec.warnings == []
 
 
 def test_rank_decider_unit_correlation_is_dependent():

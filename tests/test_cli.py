@@ -3,12 +3,11 @@ import pytest
 from rankpc.cli import (
     cmd_experiment,
     cmd_oracle_check,
-    cmd_plotdata,
     cmd_simulate,
     main,
 )
 from rankpc.correlation import Dataset
-from rankpc.experiment import ExperimentConfig, records_from_csv
+from rankpc.experiment import ExperimentConfig, records_from_csv, records_to_csv, write_plot_data
 from rankpc.graph import pdag_from_text
 from rankpc.simulate import sem_from_text
 
@@ -179,7 +178,7 @@ def test_main_plotdata(tmp_path, capsys):
     records = run_dir / "records.csv"
     assert main(["plotdata", "--records", str(records), "--out", str(plot_dir)]) == 0
     assert "wrote 1 plot files" in capsys.readouterr().out
-    paths = cmd_plotdata(records, tmp_path / "plots2")
+    paths = write_plot_data(records_from_csv(records), tmp_path / "plots2")
     assert [p.name for p in paths] == ["plot_normal_d2_p5.dat"]
     lines = paths[0].read_text().splitlines()
     assert lines[0] == "# n method mean_shd"
@@ -196,7 +195,20 @@ def test_main_rejects_bad_usage(tmp_path, capsys):
     unknown = tmp_path / "unknown.ini"
     unknown.write_text(EXP_TEXT + "colour = red\n")
     out = str(tmp_path / "out")
+    bad_line = tmp_path / "bad_line.csv"
+    records_to_csv([], bad_line)  # the header alone
+    bad_line.write_text(bad_line.read_text() + "1,2,3\n")
     cases = [
+        (
+            ["experiment", "--config", str(good), "--out", out, "--threads", "0"],
+            "argument --threads: must be at least 1, got 0",
+        ),
+        (["oracle-check", "--p-max", "9"], "argument --p-max: invalid choice: 9"),
+        (["oracle-check", "--trials", "-1"], "argument --trials: must be at least 0, got -1"),
+        (["oracle-check", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+        (["plotdata", "--records", str(tmp_path / "missing.csv"), "--out", out], "missing.csv"),
+        (["plotdata", "--records", str(good), "--out", out], "unexpected records header"),
+        (["plotdata", "--records", str(bad_line), "--out", out], "malformed records line"),
         (["experiment", "--config", str(unknown), "--out", out], "unknown config keys: colour"),
         (["simulate", "--config", str(tmp_path / "missing.ini"), "--out", out], "missing.ini"),
         (

@@ -6,7 +6,7 @@ from rankpc.citest import OracleDecider, RankCiDecider, TestConfig
 from rankpc.graph import Dag, EdgeState, Pdag, cpdag, skeleton
 from rankpc.pc import PcResult, orient_colliders, pc_result_to_text, pc_skeleton, run_pc
 
-from oracles import naive_pc_skeleton, random_correlation, random_dag_edges
+from oracles import naive_pc_skeleton, random_correlation, random_dag_edges, set_orient_colliders
 from test_citest import NONPD_BLOCK
 
 
@@ -160,6 +160,25 @@ def test_orient_colliders_conflict_logged_last_write_wins():
     assert states[(0, 1)] == EdgeState.BACKWARD  # the later triple re-aimed it
     assert states[(1, 2)] == EdgeState.BACKWARD
     assert states[(0, 3)] == EdgeState.BACKWARD
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.integers(1, 10))
+def test_orient_colliders_matches_set_based_loop(data, p):
+    pairs = [(u, v) for u in range(p) for v in range(u + 1, p)]
+    flags = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {pair for pair, on in zip(pairs, flags) if on}
+    # sepsets on nonadjacent and adjacent pairs alike, often holding common neighbours
+    keys = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    sepsets = {}
+    for u, w in keys:
+        others = [x for x in range(p) if x not in (u, w)]
+        chosen = data.draw(st.sets(st.sampled_from(others))) if others else set()
+        sepsets[(u, w)] = tuple(sorted(chosen))
+    states, warnings = orient_colliders(edges, sepsets, p)
+    want_states, want_warnings = set_orient_colliders(edges, sepsets, p)
+    assert list(states.items()) == list(want_states.items())
+    assert warnings == want_warnings
 
 
 def test_run_pc_chain_gives_undirected_chain():

@@ -215,35 +215,22 @@ def _spearman_rho_matrix(rank_cols: np.ndarray) -> np.ndarray:
     return 1.0 - 6.0 * ssd / (n * (n * n - 1))
 
 
-# Sign entries per block of the Kendall kernel (512 KiB of float32): enough
-# rows for BLAS to be efficient, few enough to keep peak memory flat.
-_KENDALL_BLOCK = 2**17
-
-
 def _kendall_tau_matrix(rank_cols: np.ndarray) -> np.ndarray:
     """Kendall tau of every column pair of an n x p rank matrix, exactly.
 
-    Sums sign(R_i - R_j) sign(R_i - R_j)^T over the row pairs i < j, a block
-    of rows i at a time against the rows after i, and doubles the sum: the
-    total is n(n-1) - 4 * discordant.  A block of rows starting at i holds
-    about ``_KENDALL_BLOCK`` sign entries, at least one row of n - i - 1
-    pairs.  The float32 arithmetic is exact while n < 2**24: ranks and their
-    differences are integers below 2**24, and each block's sums are integers
-    bounded by its number of row pairs, at most max(2**17, n).  The float64
-    total is an integer below 2**53.
+    Sums sign(R_i - R_j) sign(R_i - R_j)^T over the row pairs i < j, one row
+    i at a time against the rows after it, and doubles the sum: the total is
+    n(n-1) - 4 * discordant.  The float32 arithmetic is exact while
+    n < 2**24: ranks and their differences are integers below 2**24, and each
+    row's sums are integers of at most n - 1.  The float64 total is an
+    integer below 2**53.
     """
     n, p = rank_cols.shape
     r = rank_cols.astype(np.float32)
     total = np.zeros((p, p))
-    i = 0
-    while i < n - 1:
-        rows = min(n - 1 - i, max(1, _KENDALL_BLOCK // ((n - i) * p)))
-        # row i + k against rows i + 1 + m; the pairs with m < k are not later
-        signs = np.sign(r[i : i + rows, None, :] - r[None, i + 1 :, :])
-        signs[np.tril_indices(rows, -1)] = 0.0
-        signs = signs.reshape(-1, p)
+    for i in range(n - 1):
+        signs = np.sign(r[i + 1 :] - r[i])
         total += signs.T @ signs
-        i += rows
     return 2.0 * total / (n * (n - 1))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from enum import IntEnum
 from itertools import combinations
+from numbers import Integral
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -39,17 +40,17 @@ def node_set(nodes: Iterable[int], p: int | None = None) -> tuple[int, ...]:
     """Normalize a collection of node indices to a sorted tuple.
 
     Raises ValueError on duplicates, non-integers, or indices outside
-    ``0..p-1`` when ``p`` is given.
+    ``0..p-1`` when ``p`` is given.  NumPy integers are accepted as ints.
     """
     items = list(nodes)
     for x in items:
-        if not isinstance(x, (int,)) or isinstance(x, bool):
+        if not isinstance(x, Integral) or isinstance(x, bool):
             raise ValueError(f"node index must be an integer, got {x!r}")
         if x < 0 or (p is not None and x >= p):
             raise ValueError(f"node index {x} out of range for p={p}")
     if len(set(items)) != len(items):
         raise ValueError(f"duplicate node indices in {items}")
-    return tuple(sorted(items))
+    return tuple(sorted(map(int, items)))
 
 
 class Dag:
@@ -291,14 +292,7 @@ def d_separated(dag: Dag, u: int, v: int, s: Iterable[int] = ()) -> bool:
     A trail is blocked when some chain or fork node on it lies in ``s``, or
     some collider node on it has neither itself nor any descendant in ``s``.
     """
-    cond = node_set(s, dag.p)
-    if u == v:
-        raise ValueError("u and v must be distinct")
-    if u in cond or v in cond:
-        raise ValueError("u and v must not belong to the conditioning set")
-    if not (0 <= u < dag.p and 0 <= v < dag.p):
-        raise ValueError(f"nodes ({u}, {v}) out of range for p={dag.p}")
-    return v not in _reachable(dag, [u], set(cond))
+    return d_separated_sets(dag, (u,), (v,), s)
 
 
 def d_separated_sets(
@@ -350,7 +344,9 @@ def _meek_fixpoint(states: dict, p: int) -> None:
     """Orient undirected edges compelled by the three closure rules, in place.
 
     Passes over the pairs in sorted order until one changes nothing; each
-    undirected pair (u, v) is tried as u -> v, then as v -> u.  The rules read
+    undirected pair (u, v) is tried as u -> v, then as v -> u.  A pass that
+    changes something orients at least one undirected pair, so more passes
+    than undirected pairs plus one raise RuntimeError.  The rules read
     per-node bitmasks kept in step with ``states``: a - b becomes a -> b when
     ``par[a] & ~adj[b]`` (rule 1: some c -> a, with c and b nonadjacent), when
     ``chi[a] & par[b]`` (rule 2: a -> c -> b), or when ``und[a] & par[b]`` has
@@ -368,8 +364,7 @@ def _meek_fixpoint(states: dict, p: int) -> None:
             chi[a] |= 1 << b
             par[b] |= 1 << a
     pairs = sorted(states)
-    changed = True
-    while changed:
+    for _ in range(sum(map(int.bit_count, und)) // 2 + 1):
         changed = False
         for u, v in pairs:
             if not und[u] >> v & 1:
@@ -383,6 +378,9 @@ def _meek_fixpoint(states: dict, p: int) -> None:
                     par[b] |= 1 << a
                     changed = True
                     break
+        if not changed:
+            return
+    raise RuntimeError("orientation closure still changing after one pass per undirected pair")
 
 
 def meek_closure(pdag: Pdag) -> Pdag:

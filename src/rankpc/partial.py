@@ -20,6 +20,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .correlation import validate_correlation_matrix
+from .graph import node_set
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -43,20 +44,6 @@ class NotPositiveDefiniteError(ArithmeticError):
     def __init__(self, indices: tuple[int, ...]):
         self.indices = tuple(indices)
         super().__init__(f"submatrix over indices {self.indices} is not positive definite")
-
-
-def _conditioning_tuple(u: int, v: int, s: Iterable[int], p: int) -> tuple[int, ...]:
-    cond = tuple(sorted(s))
-    if len(set(cond)) != len(cond):
-        raise ValueError(f"conditioning set {cond} has duplicates")
-    if u == v:
-        raise ValueError("u and v must be distinct")
-    for x in (u, v) + cond:
-        if not 0 <= x < p:
-            raise ValueError(f"index {x} out of range for p={p}")
-    if u in cond or v in cond:
-        raise ValueError("u and v must not belong to the conditioning set")
-    return cond
 
 
 @np.errstate(invalid="ignore")
@@ -118,8 +105,10 @@ def partial_corr_inverse(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:
     submatrix has no Cholesky factorization; no regularization is applied.
     """
     mat = validate_correlation_matrix(sigma)
-    cond = _conditioning_tuple(u, v, s, mat.shape[0])
-    a, b = (u, v) if u < v else (v, u)
+    a, b = node_set((u, v), mat.shape[0])
+    cond = node_set(s, mat.shape[0])
+    if a in cond or b in cond:
+        raise ValueError("u and v must not belong to the conditioning set")
     r = float(partial_corr_batch(mat, np.array([cond + (a, b)]))[0])
     if math.isnan(r):
         raise NotPositiveDefiniteError((a, b) + cond)

@@ -82,6 +82,7 @@ def test_d_separation_basic_patterns():
     assert d_separated(fork, 0, 2, [1])
     assert d_separated(COLLIDER, 0, 2)
     assert not d_separated(COLLIDER, 0, 2, [1])
+    assert d_separated(CHAIN, np.int64(0), np.int64(2), [np.int64(1)])
 
 
 def test_d_separation_collider_descendant_opens_path():

@@ -44,6 +44,7 @@ def test_recursion_empty_set_is_plain_entry():
 
 
 def test_recursion_validates_indices():
+    assert partial_corr_inverse(EQUI, np.int64(0), np.int64(1), [np.int64(2)]) == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
         partial_corr_inverse(EQUI, 0, 0, [])
     with pytest.raises(ValueError):

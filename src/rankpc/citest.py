@@ -1,7 +1,7 @@
 """Conditional-independence deciders for constraint-based structure learning.
 
 A decider answers "is X_u independent of X_v given X_S?".  The data-driven
-decider reads memoised partial correlations of one correlation matrix
+decider reads the partial correlations of one correlation matrix
 estimate; the oracle decider reads d-separation off a known DAG.  The
 data-driven decider has one decision rule, independent when |partial
 correlation| <= gamma.  The 'threshold' variant fixes gamma; the 'fisher_z'
@@ -130,10 +130,11 @@ class RankCiDecider(CiDecider):
     """Decider backed by the partial correlations of one correlation matrix.
 
     ``sigma`` is a correlation matrix or a :class:`PartialCorrelations` over
-    one; passing the same instance to several deciders shares its memo, which
-    ``first_independent`` reads before it calls ``batch``.  Both variants
-    decide |r| <= gamma at each level, with the fisher_z cutoff from
-    :func:`gamma_threshold`.  A submatrix that is not positive definite yields
+    one; deciders handed the same instance share the values it computes.
+    Both variants decide |r| <= ``cutoffs[|S|]``, a list built once here:
+    ``gamma_threshold`` at each level below min(p, n - 3) for fisher_z, the
+    fixed gamma at each level below p for threshold; a level past its end
+    raises ``ValueError``.  A submatrix that is not positive definite yields
     a 'dependent' answer and a warning rather than an exception, so a run on
     badly conditioned estimates degrades to keeping edges instead of crashing.
     """
@@ -141,54 +142,44 @@ class RankCiDecider(CiDecider):
     def __init__(self, sigma, n: int, config: TestConfig):
         super().__init__()
         self.partials = sigma if isinstance(sigma, PartialCorrelations) else PartialCorrelations(sigma)
-        self.n = int(n)
-        self.config = config
-        self._gammas: dict[int, float] = {}
+        p, n = self.partials.sigma.shape[0], int(n)
         if config.variant == "fisher_z":
-            self.max_cond_size = self.n - 4
-            self._z = 2.0 * float(ndtri(1.0 - config.alpha / 2.0))
+            self.max_cond_size = n - 4
+            z = 2.0 * float(ndtri(1.0 - config.alpha / 2.0))
+            self.cutoffs = [gamma_threshold(n, s, z) for s in range(min(p, n - 3))]
         else:
             self.max_cond_size = None
+            self.cutoffs = [config.gamma] * p
 
-    def _gamma(self, level: int) -> float:
-        gamma = self._gammas.get(level)
-        if gamma is None:
-            if self.config.variant == "threshold":
-                gamma = self.config.gamma
-            else:
-                gamma = gamma_threshold(self.n, level, self._z)
-            self._gammas[level] = gamma
-        return gamma
+    def _cutoff(self, level: int) -> float:
+        try:
+            return self.cutoffs[level]
+        except IndexError:
+            raise ValueError(f"no cutoff for conditioning size {level}") from None
+
+    def _nonpd_warning(self, u: int, v: int, s: tuple[int, ...]) -> str:
+        err = NotPositiveDefiniteError(((u, v) if u < v else (v, u)) + s)
+        return f"dependent by default for ({u}, {v} | {s}): {err}"
 
     def first_independent(self, u: int, v: int, subsets: Sequence[tuple[int, ...]]) -> int | None:
         if not subsets:
             return None
         a, b = (u, v) if u < v else (v, u)
-        gamma = self._gammas.get(len(subsets[0]))
-        if gamma is None:
-            gamma = self._gamma(len(subsets[0]))
-        known = self.partials.memo.get((a, b), {})
-        try:
-            rs = [known[s] for s in subsets]
-        except KeyError:
-            rs = self.partials.batch(a, b, subsets)
-        for i, r in enumerate(rs):
+        gamma = self._cutoff(len(subsets[0]))
+        for i, r in enumerate(self.partials.batch(a, b, subsets)):
             if abs(r) <= gamma:
                 return i
             if math.isnan(r):
-                err = NotPositiveDefiniteError((a, b) + subsets[i])
-                self.warnings.append(f"dependent by default for ({u}, {v} | {subsets[i]}): {err}")
+                self.warnings.append(self._nonpd_warning(u, v, subsets[i]))
         return None
 
     def marginally_independent(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
         m = self.partials.marginal
         if self.partials.has_nonpd_marginal:
             for u, v in pairs:
-                if math.isnan(m[u][v]):
-                    err = NotPositiveDefiniteError((u, v) if u < v else (v, u))
-                    warning = f"dependent by default for ({u}, {v} | ()): {err}"
-                    self.warnings += [warning, warning]  # asked from both sides, as a kept pair is
-        gamma = self._gamma(0)
+                if math.isnan(m[u][v]):  # asked from both sides, as a kept pair is
+                    self.warnings += [self._nonpd_warning(u, v, ())] * 2
+        gamma = self._cutoff(0)
         return [abs(m[u][v]) <= gamma for u, v in pairs]
 
     def decide(self, u: int, v: int, s: Iterable[int] = ()) -> bool:

@@ -79,19 +79,22 @@ class ExperimentConfig:
             raise ConfigError("need at least one p value")
         if not self.n_values:
             raise ConfigError("need at least one n value")
-        for p in self.p_values:
-            if p < 2:
-                raise ConfigError(f"p must be at least 2, got {p}")
-        for n in self.n_values:
-            if n < 4:
-                raise ConfigError(f"n must be at least 4 for the z test, got {n}")
         if self.degree <= 0:
             raise ConfigError(f"expected degree must be positive, got {self.degree}")
         for p in self.p_values:
+            if p < 2:
+                raise ConfigError(f"p must be at least 2, got {p}")
             if self.degree > p - 1:
                 raise ConfigError(
                     f"expected degree {self.degree} impossible at p={p} (max {p - 1})"
                 )
+        if len(set(self.p_values)) != len(self.p_values):
+            raise ConfigError("duplicate p values")
+        for n in self.n_values:
+            if n < 4:
+                raise ConfigError(f"n must be at least 4 for the z test, got {n}")
+        if len(set(self.n_values)) != len(self.n_values):
+            raise ConfigError("duplicate n values")
         if not self.regimes:
             raise ConfigError("need at least one regime")
         for r in self.regimes:

@@ -71,8 +71,9 @@ class PartialCorrelations:
     once.  Every r(a, b | {}) is computed up front in one batch, since skeleton
     search asks them all; ``marginal[a][b]`` holds it for both orders of the
     pair, as nested lists, and ``has_nonpd_marginal`` says whether any of them
-    is NaN.  ``memo[(a, b)][S]`` holds r(a, b | S) for a < b and nonempty S
-    once asked.  A NaN value marks a submatrix that is not positive definite.
+    is NaN.  ``batch`` alone reads and writes the memo of r(a, b | S), a < b
+    and S nonempty, and runs the kernel only for sets not asked before.  A
+    NaN value marks a submatrix that is not positive definite.
     """
 
     def __init__(self, sigma):
@@ -84,18 +85,20 @@ class PartialCorrelations:
         marginal[upper] = marginal.T[upper] = r
         self.marginal: list[list[float]] = marginal.tolist()
         self.has_nonpd_marginal = bool(np.isnan(r).any())
-        self.memo: dict[tuple[int, int], dict[tuple[int, ...], float]] = {}
+        self._memo: dict[tuple[int, int], dict[tuple[int, ...], float]] = {}
 
     def batch(self, a: int, b: int, conds: Sequence[tuple[int, ...]]) -> list[float]:
         """r(a, b | S) for each S in ``conds``; needs a < b, each S sorted, all of one size."""
         if not conds[0]:
             return [self.marginal[a][b]] * len(conds)
-        known = self.memo.setdefault((a, b), {})
-        missing = [c for c in conds if c not in known]
-        if missing:
+        known = self._memo.setdefault((a, b), {})
+        try:
+            return [known[c] for c in conds]
+        except KeyError:
+            missing = [c for c in conds if c not in known]
             values = partial_corr_batch(self.sigma, np.array([c + (a, b) for c in missing]))
             known.update(zip(missing, values.tolist()))
-        return [known[c] for c in conds]
+            return [known[c] for c in conds]
 
 
 def partial_corr_inverse(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:

@@ -185,10 +185,10 @@ def run_pc(
     skel = pc_skeleton(decider, p, max_cond=max_cond, stable=stable)
     states, orient_warnings = orient_colliders(skel.edges, skel.sepsets, p)
     _meek_fixpoint(states, p)
-    warnings = list(decider.warnings[start:]) + orient_warnings
+    warnings = decider.warnings[start:] + orient_warnings
     return PcResult(
         pdag=Pdag(p, states),
-        sepsets=dict(skel.sepsets),
+        sepsets=skel.sepsets,
         tests_run=skel.tests_run,
         max_cond_used=skel.max_cond_used,
         warnings=warnings,

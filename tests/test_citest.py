@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
+import rankpc.partial
 from rankpc.citest import CiDecider, OracleDecider, RankCiDecider, TestConfig, gamma_threshold
 from rankpc.correlation import estimate_correlation_matrix
 from rankpc.graph import Dag, d_separated
@@ -116,6 +117,58 @@ def test_rank_decider_fisher_cond_cap():
     sigma = np.eye(4)
     dec = RankCiDecider(sigma, 30, TestConfig("fisher_z", alpha=0.05))
     assert dec.max_cond_size == 26
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 7),
+    n=st.integers(4, 60),
+    cutoff=st.floats(0.0, 1.0),
+)
+def test_every_level_matches_the_z_test(seed, p, n, cutoff):
+    sigma = random_correlation(np.random.default_rng(seed), p)
+    alpha = 10.0 ** (-7.0 * cutoff - 0.5)
+    partials = PartialCorrelations(sigma)
+    dec = RankCiDecider(sigma, n, TestConfig("fisher_z", alpha=alpha))
+    for u, v in combinations(range(p), 2):
+        rest = [w for w in range(p) if w not in (u, v)]
+        for size in range(min(p - 2, n - 4) + 1):
+            for s in combinations(rest, size):
+                r = partials.batch(u, v, [s])[0]
+                assert dec.decide(u, v, s) == fisher_z_decide(r, n, size, alpha)
+    with pytest.raises(ValueError):
+        dec.decide(0, 1, tuple(range(2, n - 1)))  # |S| = n - 3 has no z test
+
+
+def test_partials_memo_runs_the_kernel_once_per_query(monkeypatch):
+    sigma = random_correlation(np.random.default_rng(83), 6)
+    partials = PartialCorrelations(sigma)
+    calls = []
+    kernel = rankpc.partial.partial_corr_batch
+
+    def counted(mat, idx):
+        calls.append(idx.tolist())
+        return kernel(mat, idx)
+
+    monkeypatch.setattr(rankpc.partial, "partial_corr_batch", counted)
+    subsets = list(combinations(range(2, 6), 2))
+    first = partials.batch(0, 1, subsets[:4])
+    assert calls == [[list(s) + [0, 1] for s in subsets[:4]]]  # a miss: one call for every set
+    assert partials.batch(0, 1, subsets[:4]) == first  # a hit: no call
+    assert partials.batch(0, 1, subsets[2:4] + subsets[:2]) == first[2:] + first[:2]
+    assert partials.batch(0, 1, [()]) == [partials.marginal[0][1]]  # level 0: no call
+    assert len(calls) == 1
+    first = partials.batch(0, 1, subsets)
+    assert calls[1:] == [[list(s) + [0, 1] for s in subsets[4:]]]  # only the sets not asked before
+    assert partials.batch(0, 1, subsets) == first
+    singles = [(1,), (3,), (4,), (5,)]
+    one, two = (RankCiDecider(partials, 100, TestConfig("fisher_z", alpha=a)) for a in (0.05, 1e-3))
+    fresh = RankCiDecider(sigma, 100, TestConfig("fisher_z", alpha=1e-3))
+    calls.clear()
+    one.first_independent(2, 0, singles)
+    assert two.first_independent(2, 0, singles) == fresh.first_independent(2, 0, singles)
+    assert calls == [[[w, 0, 2] for (w,) in singles]] * 2  # ``one``'s miss and ``fresh``'s; ``two`` hit
 
 
 NONPD_BLOCK = np.array(

@@ -67,8 +67,10 @@ def test_config_validation_errors():
     bad_cases = [
         dict(good, p_values=()),
         dict(good, p_values=(1,)),
+        dict(good, p_values=(6, 6)),
         dict(good, n_values=()),
         dict(good, n_values=(3,)),
+        dict(good, n_values=(100, 100)),
         dict(good, degree=0.0),
         dict(good, degree=6.0),  # d >= p is impossible
         dict(good, regimes=("weird",)),

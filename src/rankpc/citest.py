@@ -77,10 +77,15 @@ def gamma_threshold(n: int, s_size: int, z: float) -> float:
     m = n - s_size - 3
     if m < 1:
         raise ValueError(f"need n - s_size - 3 >= 1, got n={n}, s_size={s_size}")
-    if z < 0 or not math.isfinite(z):
+    return _z_cutoffs(n, z, range(s_size, s_size + 1))[0]
+
+
+def _z_cutoffs(n: int, z: float, sizes: range) -> list[float]:
+    """:func:`gamma_threshold` at each size in ``sizes``, each n - size - 3 >= 1; z checked once."""
+    if sizes and (z < 0 or not math.isfinite(z)):
         raise ValueError(f"z must be finite and nonnegative, got {z}")
-    x = z / math.sqrt(m)
-    return -math.expm1(-x) / (1.0 + math.exp(-x))
+    xs = [z / math.sqrt(n - s - 3) for s in sizes]
+    return [-math.expm1(-x) / (1.0 + math.exp(-x)) for x in xs]
 
 
 class CiDecider:
@@ -146,7 +151,7 @@ class RankCiDecider(CiDecider):
         if config.variant == "fisher_z":
             self.max_cond_size = n - 4
             z = 2.0 * float(ndtri(1.0 - config.alpha / 2.0))
-            self.cutoffs = [gamma_threshold(n, s, z) for s in range(min(p, n - 3))]
+            self.cutoffs = _z_cutoffs(n, z, range(min(p, n - 3)))
         else:
             self.max_cond_size = None
             self.cutoffs = [config.gamma] * p

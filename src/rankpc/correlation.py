@@ -10,7 +10,7 @@ continuous, so a tie signals discretized or corrupted input.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -114,21 +114,12 @@ def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray, int]:
 
 def ranks(x, where: str = "") -> np.ndarray:
     """Ranks 1..n of a vector of distinct values; ties raise :class:`TieError`."""
-    arr = _as_vector(x, where or "x")
-    n = arr.shape[0]
-    order = np.argsort(arr, kind="stable")
-    xs = arr[order]
-    dup = np.nonzero(xs[1:] == xs[:-1])[0]
-    if dup.size:
-        raise TieError(float(xs[dup[0]]), where)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = np.arange(1, n + 1)
-    return out
+    return _rank_columns(_as_vector(x, where or "x")[:, None], (where,))[:, 0]
 
 
 def _pair_ranks(x, y) -> np.ndarray:
     xa, ya, _ = _check_pair(x, y)
-    return np.column_stack((ranks(xa, "x"), ranks(ya, "y")))
+    return _rank_columns(np.column_stack((xa, ya)), ("x", "y"))
 
 
 def spearman_rho(x, y) -> float:
@@ -198,11 +189,25 @@ def estimation_tail_bound(method: str, n: int, eps: float) -> float:
     return a * math.exp(-b * n * eps * eps)
 
 
-def _rank_columns(data: Dataset) -> np.ndarray:
-    cols = np.empty((data.n, data.p), dtype=np.int64)
-    for j in range(data.p):
-        cols[:, j] = ranks(data.column(j), f"column {j}")
-    return cols
+def _rank_columns(values: np.ndarray, where: Sequence[str] | None = None) -> np.ndarray:
+    """Ranks 1..n down each column of an n x p array, C-ordered, from one argsort.
+
+    A tie raises :class:`TieError` at the first tied column (``where[j]`` or
+    'column j') with its smallest tied value as met first in the input, as
+    a stable sort meets it: 0.0 and -0.0 tie.
+    """
+    n, p = values.shape
+    order, cols = np.argsort(values, axis=0), np.arange(p)
+    xs = values[order, cols]
+    tied = xs[1:] == xs[:-1]
+    if tied.any():
+        j = int(tied.any(axis=0).argmax())
+        col = values[:, j]
+        first = col[(col == xs[tied[:, j].argmax(), j]).argmax()]
+        raise TieError(float(first), f"column {j}" if where is None else where[j])
+    out = np.empty((n, p), dtype=np.int64)
+    out[order, cols] = np.arange(1, n + 1)[:, None]
+    return out
 
 
 def _spearman_rho_matrix(rank_cols: np.ndarray) -> np.ndarray:
@@ -218,19 +223,21 @@ def _spearman_rho_matrix(rank_cols: np.ndarray) -> np.ndarray:
 def _kendall_tau_matrix(rank_cols: np.ndarray) -> np.ndarray:
     """Kendall tau of every column pair of an n x p rank matrix, exactly.
 
-    Sums sign(R_i - R_j) sign(R_i - R_j)^T over the row pairs i < j, one row
-    i at a time against the rows after it, and doubles the sum: the total is
-    n(n-1) - 4 * discordant.  The float32 arithmetic is exact while
-    n < 2**24: ranks and their differences are integers below 2**24, and each
-    row's sums are integers of at most n - 1.  The float64 total is an
+    With a_i = [R_j > R_i] over the rows j > i, each pair's sign is 2a - 1,
+    so the sign sum over the row pairs i < j is 4g - 2(c_k + c_l) + n(n-1)/2,
+    where g sums a_i^T a_i one row i at a time and c is its diagonal.  The
+    float32 products are exact while n < 2**24: each row's sums are integers
+    of at most n - 1.  They are summed in float64, and every term is an
     integer below 2**53.
     """
     n, p = rank_cols.shape
     r = rank_cols.astype(np.float32)
-    total = np.zeros((p, p))
+    g = np.zeros((p, p))
     for i in range(n - 1):
-        signs = np.sign(r[i + 1 :] - r[i])
-        total += signs.T @ signs
+        above = (r[i + 1 :] > r[i]).astype(np.float32)
+        g += above.T @ above
+    c = np.diagonal(g)
+    total = 4.0 * g - 2.0 * (c[:, None] + c) + n * (n - 1) / 2
     return 2.0 * total / (n * (n - 1))
 
 
@@ -261,7 +268,7 @@ def estimate_correlation_matrix(data: Dataset, method: str) -> np.ndarray:
             raise ValueError(f"column {dead[0]} has zero variance")
         z = centered / norms
         return _finish(z.T @ z)
-    rank_cols = _rank_columns(data)
+    rank_cols = _rank_columns(data.values)
     if method == "spearman":
         return _finish(2.0 * np.sin(np.pi * _spearman_rho_matrix(rank_cols) / 6.0))
     return _finish(np.sin(np.pi * _kendall_tau_matrix(rank_cols) / 2.0))

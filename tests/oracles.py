@@ -12,6 +12,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from rankpc.citest import CiDecider
+from rankpc.correlation import TieError
 from rankpc.graph import Dag, EdgeState, Pdag
 from rankpc.pc import SkeletonResult
 
@@ -39,6 +40,25 @@ def naive_ranks(x) -> np.ndarray:
     out = np.empty(x.shape[0], dtype=np.int64)
     out[order] = np.arange(1, x.shape[0] + 1)
     return out
+
+
+def naive_rank_columns(values) -> np.ndarray:
+    """Ranks 1..n of each column, one stable argsort per column.
+
+    The first tied column raises TieError with the smallest tied value,
+    taken at its first occurrence in the input.
+    """
+    values = np.asarray(values, dtype=float)
+    n, p = values.shape
+    cols = np.empty((n, p), dtype=np.int64)
+    for j in range(p):
+        order = np.argsort(values[:, j], kind="stable")
+        xs = values[order, j]
+        dup = np.nonzero(xs[1:] == xs[:-1])[0]
+        if dup.size:
+            raise TieError(float(xs[dup[0]]), f"column {j}")
+        cols[order, j] = np.arange(1, n + 1)
+    return cols
 
 
 def spearman_ratio(x, y) -> float:

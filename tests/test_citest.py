@@ -131,6 +131,8 @@ def test_every_level_matches_the_z_test(seed, p, n, cutoff):
     alpha = 10.0 ** (-7.0 * cutoff - 0.5)
     partials = PartialCorrelations(sigma)
     dec = RankCiDecider(sigma, n, TestConfig("fisher_z", alpha=alpha))
+    z = 2.0 * float(ndtri(1.0 - alpha / 2.0))
+    assert dec.cutoffs == [gamma_threshold(n, s, z) for s in range(min(p, n - 3))]
     for u, v in combinations(range(p), 2):
         rest = [w for w in range(p) if w not in (u, v)]
         for size in range(min(p - 2, n - 4) + 1):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from rankpc.correlation import (
     validate_correlation_matrix,
 )
 
-from oracles import bivariate_normal_sample, naive_kendall, spearman_ratio
+from oracles import bivariate_normal_sample, naive_kendall, naive_rank_columns, spearman_ratio
 
 
 def test_ranks_basic():
@@ -34,6 +35,42 @@ def test_ranks_reject_ties():
     with pytest.raises(TieError) as exc:
         ranks([1.0, 2.0, 2.0])
     assert exc.value.value == 2.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    p=st.integers(1, 8),
+    ties=st.lists(
+        st.tuples(
+            st.integers(0, 7), st.integers(0, 59), st.integers(0, 59),
+            st.sampled_from(["copy", "+0-0", "-0+0"]),
+        ),
+        max_size=3,
+    ),
+)
+@example(seed=0, n=5, p=3, ties=[(2, 1, 3, "-0+0"), (1, 0, 4, "copy")])
+def test_rank_columns_match_per_column_oracle(seed, n, p, ties):
+    values = np.random.default_rng(seed).standard_normal((n, p))
+    for j, a, b, kind in ties:
+        j, a, b = j % p, a % n, b % n
+        if kind == "copy":
+            values[a, j] = values[b, j]
+        else:  # 0.0 and -0.0 tie; the error names the one met first
+            values[a, j], values[b, j] = (0.0, -0.0) if kind == "+0-0" else (-0.0, 0.0)
+    try:
+        want = naive_rank_columns(values)
+    except TieError as err:
+        with pytest.raises(TieError) as exc:
+            _rank_columns(values)
+        assert str(exc.value) == str(err)
+        return
+    got = _rank_columns(values)
+    assert got.dtype == np.int64 and got.flags.c_contiguous  # the Kendall kernel runs faster on C order
+    assert np.array_equal(got, want)
+    for j in range(p):
+        assert np.array_equal(ranks(values[:, j]), want[:, j])
 
 
 def test_spearman_frozen_example():
@@ -71,7 +108,7 @@ def test_kendall_matches_naive_exactly():
 def test_kendall_rejects_ties():
     with pytest.raises(TieError):
         kendall_tau([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(TieError):
+    with pytest.raises(TieError, match=r"^tied value 5\.0 in y;"):
         kendall_tau([1.0, 2.0, 3.0], [5.0, 5.0, 6.0])
 
 
@@ -115,6 +152,10 @@ def test_estimators_match_scipy():
     # above 2048 rows, where float16 sign sums would stop being exact
     x = rng.standard_normal(3000)
     y = 0.4 * x + rng.standard_normal(3000)
+    assert kendall_tau(x, y) == pytest.approx(scipy.stats.kendalltau(x, y).statistic, abs=1e-12)
+    # float32 running sums would be off by about 4e-6 here
+    x = rng.standard_normal(10_000)
+    y = 0.4 * x + rng.standard_normal(10_000)
     assert kendall_tau(x, y) == pytest.approx(scipy.stats.kendalltau(x, y).statistic, abs=1e-12)
 
 
@@ -240,7 +281,7 @@ def test_matrix_matches_pairwise_estimates():
 @example(seed=1, n=2, p=1)
 def test_kendall_kernel_matches_naive_oracle(seed, n, p):
     data = Dataset(np.random.default_rng(seed).standard_normal((n, p)))
-    tau = _kendall_tau_matrix(_rank_columns(data))
+    tau = _kendall_tau_matrix(_rank_columns(data.values))
     mat = estimate_correlation_matrix(data, "kendall")
     if p == 1:
         assert mat.tolist() == [[1.0]]
@@ -249,6 +290,22 @@ def test_kendall_kernel_matches_naive_oracle(seed, n, p):
             want = naive_kendall(data.column(u), data.column(v))
             assert tau[u, v] == tau[v, u] == want, (u, v)
             assert abs(mat[u, v] - sine_transform_kendall(want)) <= 2e-15, (u, v)
+
+
+def test_matrix_estimates_frozen_digests():
+    # any change in the bytes of an estimate moves every downstream record
+    rng = np.random.default_rng(20121207)
+    x = rng.standard_normal((500, 12))
+    x[:, 1:] += 0.6 * x[:, :-1]
+    data = Dataset(np.exp(x))
+    digests = {
+        "pearson": "b27c01bbad4224b4d3cb57dc547d84ef272aabbcf3efc9df17f370e2423aad0a",
+        "spearman": "a949bcde9948202d92d2d1c2491ecb0356946b76799d10ade752ea3d44b85c66",
+        "kendall": "7b507569f908f84fde6e65c22de10f383e9fe0d732979048565068b6eac2d856",
+    }
+    for method, want in digests.items():
+        got = hashlib.sha256(estimate_correlation_matrix(data, method).tobytes()).hexdigest()
+        assert got == want, method
 
 
 def test_matrix_frozen_two_column_example():

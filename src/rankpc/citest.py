@@ -19,7 +19,7 @@ from scipy.special import ndtri
 
 from .correlation import METHODS
 from .graph import Dag, d_separated
-from .partial import NotPositiveDefiniteError, PartialCorrelations
+from .partial import NotPositiveDefiniteError, PartialCorrelations, _checked_query
 
 __all__ = [
     "VARIANTS",
@@ -97,7 +97,8 @@ class CiDecider:
     of the first one that separates u and v, or None; skeleton search calls
     it once per pair, direction and level >= 1, and a subclass may answer it
     in one batch.  ``marginally_independent(pairs)`` answers level 0 for
-    every pair at once.
+    every pair at once.  ``prefetch_block(u, adj, level)`` announces the
+    direction-u queries of u's pairs at a level before any is asked.
     ``max_cond_size`` is the largest usable conditioning-set size (None for
     unbounded); skeleton search will not query beyond it.  Noteworthy events
     are appended to ``warnings``.
@@ -110,6 +111,9 @@ class CiDecider:
 
     def decide(self, u: int, v: int, s: tuple[int, ...]) -> bool:
         raise NotImplementedError
+
+    def prefetch_block(self, u: int, adj: Sequence[int], level: int) -> None:
+        """Each pair (u, w > u) will first ask size-``level`` subsets of adj - {w}; ignored here."""
 
     def first_independent(self, u: int, v: int, subsets: Sequence[tuple[int, ...]]) -> int | None:
         for i, s in enumerate(subsets):
@@ -142,6 +146,8 @@ class RankCiDecider(CiDecider):
     raises ``ValueError``.  A submatrix that is not positive definite yields
     a 'dependent' answer and a warning rather than an exception, so a run on
     badly conditioned estimates degrades to keeping edges instead of crashing.
+    ``prefetch_block`` fills the memo with a block's queries in one kernel
+    call, so the walk that follows reads them back.
     """
 
     def __init__(self, sigma, n: int, config: TestConfig):
@@ -187,8 +193,12 @@ class RankCiDecider(CiDecider):
         gamma = self._cutoff(0)
         return [abs(m[u][v]) <= gamma for u, v in pairs]
 
+    def prefetch_block(self, u: int, adj: Sequence[int], level: int) -> None:
+        self.partials.fill_block(u, adj, level)
+
     def decide(self, u: int, v: int, s: Iterable[int] = ()) -> bool:
-        return self.first_independent(u, v, [tuple(sorted(s))]) is not None
+        _, _, cond = _checked_query(self.partials.sigma.shape[0], u, v, s)
+        return self.first_independent(u, v, [cond]) is not None
 
 
 class OracleDecider(CiDecider):

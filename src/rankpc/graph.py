@@ -173,6 +173,13 @@ class Pdag:
                 clean[(u, v)] = st
         self._states = clean
 
+    @classmethod
+    def _adopt(cls, p: int, states: dict[tuple[int, int], EdgeState]) -> Pdag:
+        """A Pdag that takes over a dict this library built: valid pairs, no ABSENT state."""
+        pdag = object.__new__(cls)
+        pdag.p, pdag._states = p, states
+        return pdag
+
     def state(self, u: int, v: int) -> EdgeState:
         """State of the pair, from the perspective (u, v): FORWARD means u -> v."""
         if u == v or not (0 <= u < self.p and 0 <= v < self.p):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,9 +71,11 @@ class PartialCorrelations:
     once.  Every r(a, b | {}) is computed up front in one batch, since skeleton
     search asks them all; ``marginal[a][b]`` holds it for both orders of the
     pair, as nested lists, and ``has_nonpd_marginal`` says whether any of them
-    is NaN.  ``batch`` alone reads and writes the memo of r(a, b | S), a < b
-    and S nonempty, and runs the kernel only for sets not asked before.  A
-    NaN value marks a submatrix that is not positive definite.
+    is NaN.  The memo of r(a, b | S), a < b and S nonempty, is read by
+    ``batch`` and written by ``_compute``, which runs the kernel once over
+    every set its caller found missing: ``batch`` on a miss, and
+    ``fill_block`` ahead of a node's block of skeleton-search queries.  A NaN
+    value marks a submatrix that is not positive definite.
     """
 
     def __init__(self, sigma):
@@ -86,6 +88,7 @@ class PartialCorrelations:
         self.marginal: list[list[float]] = marginal.tolist()
         self.has_nonpd_marginal = bool(np.isnan(r).any())
         self._memo: dict[tuple[int, int], dict[tuple[int, ...], float]] = {}
+        self._filled: set[tuple[int, int]] = set()  # (node, level) blocks already filled
 
     def batch(self, a: int, b: int, conds: Sequence[tuple[int, ...]]) -> list[float]:
         """r(a, b | S) for each S in ``conds``; needs a < b, each S sorted, all of one size."""
@@ -95,10 +98,44 @@ class PartialCorrelations:
         try:
             return [known[c] for c in conds]
         except KeyError:
-            missing = [c for c in conds if c not in known]
-            values = partial_corr_batch(self.sigma, np.array([c + (a, b) for c in missing]))
-            known.update(zip(missing, values.tolist()))
+            self._compute([(a, b, [c for c in conds if c not in known])])
             return [known[c] for c in conds]
+
+    def fill_block(self, u: int, adj: Sequence[int], level: int) -> None:
+        """One kernel call for each missing r(u, w | S), w > u in sorted ``adj``, S in adj - {w}.
+
+        |S| = ``level``: these are the direction-u queries of u's block in
+        skeleton search.  Each (u, level) is filled once per instance;
+        ``batch`` computes what a later fit on the matrix misses.
+        """
+        if (u, level) in self._filled:
+            return
+        self._filled.add((u, level))
+        asked = []
+        for w in adj:
+            if w > u:
+                known = self._memo.setdefault((u, w), {})
+                subsets = combinations([x for x in adj if x != w], level)
+                asked.append((u, w, [c for c in subsets if c not in known]))
+        if any(missing for _, _, missing in asked):
+            self._compute(asked)
+
+    def _compute(self, asked: list[tuple[int, int, list[tuple[int, ...]]]]) -> None:
+        """Run the kernel once over every (a, b, missing sets), all sets of one size, and memoise."""
+        rows = [c + (a, b) for a, b, missing in asked for c in missing]
+        idx = np.fromiter(chain.from_iterable(rows), np.intp, len(rows) * len(rows[0]))
+        values = iter(partial_corr_batch(self.sigma, idx.reshape(len(rows), -1)).tolist())
+        for a, b, missing in asked:
+            self._memo[a, b].update(zip(missing, values))  # zip stops at the end of missing
+
+
+def _checked_query(p: int, u: int, v: int, s: Iterable[int]) -> tuple[int, int, tuple[int, ...]]:
+    """(a, b, S), a < b, S sorted; ``ValueError`` unless u, v and S are distinct nodes below p."""
+    a, b = node_set((u, v), p)
+    cond = node_set(s, p)
+    if a in cond or b in cond:
+        raise ValueError("u and v must not belong to the conditioning set")
+    return a, b, cond
 
 
 def partial_corr_inverse(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:
@@ -108,10 +145,7 @@ def partial_corr_inverse(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:
     submatrix has no Cholesky factorization; no regularization is applied.
     """
     mat = validate_correlation_matrix(sigma)
-    a, b = node_set((u, v), mat.shape[0])
-    cond = node_set(s, mat.shape[0])
-    if a in cond or b in cond:
-        raise ValueError("u and v must not belong to the conditioning set")
+    a, b, cond = _checked_query(mat.shape[0], u, v, s)
     r = float(partial_corr_batch(mat, np.array([cond + (a, b)]))[0])
     if math.isnan(r):
         raise NotPositiveDefiniteError((a, b) + cond)

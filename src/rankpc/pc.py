@@ -79,6 +79,11 @@ def pc_skeleton(
     level (the classic order-dependent behavior); ``stable=True`` freezes the
     neighbor lists at the start of each level instead.
 
+    The pairs (u, w > u) of one node u come one after another: u's block.
+    Its first pair calls ``decider.prefetch_block(u, adj(u), level)``.  A
+    removal inside the block only drops neighbors, so every direction-u
+    subset list the walk then asks is that announced one, filtered.
+
     The level ceiling is the smallest of ``max_cond`` and the decider's own
     ``max_cond_size``, when given.
     """
@@ -111,9 +116,11 @@ def pc_skeleton(
             break
         pairs = [(u, v) for u in range(p) for v in nbrs[u] if u < v]
         frozen = [list(x) for x in nbrs] if stable else nbrs
+        block = -1
         for u, v in pairs:
-            if v not in nbrs[u]:
-                continue  # dropped earlier in this level
+            if u != block and len(frozen[u]) > level:
+                decider.prefetch_block(u, frozen[u], level)
+            block = u
             for a, b in ((u, v), (v, u)):
                 if len(frozen[a]) <= level:
                     continue
@@ -187,7 +194,7 @@ def run_pc(
     _meek_fixpoint(states, p)
     warnings = decider.warnings[start:] + orient_warnings
     return PcResult(
-        pdag=Pdag(p, states),
+        pdag=Pdag._adopt(p, states),
         sepsets=skel.sepsets,
         tests_run=skel.tests_run,
         max_cond_used=skel.max_cond_used,

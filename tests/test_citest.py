@@ -139,8 +139,23 @@ def test_every_level_matches_the_z_test(seed, p, n, cutoff):
             for s in combinations(rest, size):
                 r = partials.batch(u, v, [s])[0]
                 assert dec.decide(u, v, s) == fisher_z_decide(r, n, size, alpha)
-    with pytest.raises(ValueError):
-        dec.decide(0, 1, tuple(range(2, n - 1)))  # |S| = n - 3 has no z test
+
+
+def test_decide_past_the_last_cutoff_raises():
+    sigma = random_correlation(np.random.default_rng(7), 7)
+    dec = RankCiDecider(sigma, 8, TestConfig("fisher_z", alpha=0.05))
+    with pytest.raises(ValueError, match="no cutoff"):
+        dec.decide(0, 1, (2, 3, 4, 5, 6))  # |S| = n - 3 has no z test
+    assert dec.warnings == []
+
+
+@pytest.mark.parametrize("query", [(-1, 1, ()), (0, 5, ()), (0, 0, ()), (0, 1, (1,)), (0, 1, (2, 2))])
+def test_decide_checks_its_nodes(query):
+    sigma = random_correlation(np.random.default_rng(5), 3)
+    for dec in (OracleDecider(Dag(3, [(0, 1), (1, 2)])), RankCiDecider(sigma, 100, TestConfig("fisher_z", alpha=0.05))):
+        with pytest.raises(ValueError):
+            dec.decide(*query)
+        assert dec.warnings == []
 
 
 def test_partials_memo_runs_the_kernel_once_per_query(monkeypatch):
@@ -171,6 +186,19 @@ def test_partials_memo_runs_the_kernel_once_per_query(monkeypatch):
     one.first_independent(2, 0, singles)
     assert two.first_independent(2, 0, singles) == fresh.first_independent(2, 0, singles)
     assert calls == [[[w, 0, 2] for (w,) in singles]] * 2  # ``one``'s miss and ``fresh``'s; ``two`` hit
+    calls.clear()
+    partials.batch(1, 3, [(4, 5)])
+    adj = [0, 3, 4, 5]
+    block = {w: list(combinations([x for x in adj if x != w], 2)) for w in adj if w > 1}
+    partials.fill_block(1, adj, 2)  # node 1's pairs (1, w > 1), each over the 2-subsets of adj - {w}
+    assert calls[1:] == [[list(s) + [1, w] for w, subsets in block.items() for s in subsets if (w, s) != (3, (4, 5))]]
+    partials.fill_block(1, adj, 2)  # the same (node, level) again: no call
+    got = {w: partials.batch(1, w, subsets) for w, subsets in block.items()}  # the block's queries: hits
+    assert len(calls) == 2
+    partials.batch(1, 3, [(0, 2), (0, 4)])  # outside the block: one call for the one new set
+    assert calls[2:] == [[[0, 2, 1, 3]]]
+    for w, subsets in block.items():  # a block row equals the same row computed alone
+        assert got[w] == [kernel(sigma, np.array([s + (1, w)]))[0] for s in subsets]
 
 
 NONPD_BLOCK = np.array(

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankpc.citest import OracleDecider, RankCiDecider, TestConfig
+import rankpc.partial
+from rankpc.citest import CiDecider, OracleDecider, RankCiDecider, TestConfig
+from rankpc.correlation import estimate_correlation_matrix
 from rankpc.graph import Dag, EdgeState, Pdag, cpdag, skeleton
 from rankpc.pc import PcResult, orient_colliders, pc_result_to_text, pc_skeleton, run_pc
+from rankpc.simulate import SemModel, random_dag, random_weights, sample_sem
 
 from oracles import naive_pc_skeleton, random_correlation, random_dag_edges, set_orient_colliders
 from test_citest import NONPD_BLOCK
@@ -120,6 +123,38 @@ def test_skeleton_matches_naive_oracle(kind, seed, p, degenerate, n, cutoff, sta
     assert got.max_cond_used == want.max_cond_used
     assert fast.warnings == naive.warnings
     assert getattr(fast, "calls", None) == getattr(naive, "calls", None)
+
+
+class UnprefetchedDecider(RankCiDecider):
+    """The rank decider without block prefetch: every memo miss is filled by its own query."""
+
+    prefetch_block = CiDecider.prefetch_block
+
+
+@pytest.mark.parametrize("stable", [False, True])
+def test_block_prefetch_same_result_fewer_kernel_calls(monkeypatch, stable):
+    rng = np.random.default_rng(0)
+    dag = random_dag(60, 3.0 / 59, rng)
+    data = sample_sem(SemModel(dag, random_weights(dag, rng), transform="f11"), 1000, rng)
+    sigma = estimate_correlation_matrix(data, "spearman")
+    calls = []
+    kernel = rankpc.partial.partial_corr_batch
+
+    def counted(mat, idx):
+        calls.append(len(idx))
+        return kernel(mat, idx)
+
+    monkeypatch.setattr(rankpc.partial, "partial_corr_batch", counted)
+
+    def learn(cls):
+        calls.clear()
+        result = run_pc(cls(sigma, data.n, TestConfig("fisher_z", alpha=0.01)), 60, stable=stable)
+        return result, len(calls)
+
+    (fast, fast_calls), (slow, slow_calls) = learn(RankCiDecider), learn(UnprefetchedDecider)
+    assert fast == slow  # pdag, sepsets, tests_run, max_cond_used and warnings
+    assert fast.max_cond_used >= 2
+    assert fast_calls <= 0.6 * slow_calls
 
 
 def test_run_pc_unit_correlation_keeps_the_pair():

@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
 from scipy.special import ndtri
 
 from .correlation import METHODS
-from .graph import Dag, d_separated
+from .graph import Dag, _bits, d_separated
 from .partial import NotPositiveDefiniteError, PartialCorrelations, _checked_query
 
 __all__ = [
@@ -95,9 +96,11 @@ class CiDecider:
     and must be symmetric in (u, v).  ``first_independent(u, v, subsets)``
     asks sorted conditioning sets of one size in order and returns the index
     of the first one that separates u and v, or None; skeleton search calls
-    it once per pair, direction and level >= 1, and a subclass may answer it
-    in one batch.  ``marginally_independent(pairs)`` answers level 0 for
-    every pair at once.  ``prefetch_block(u, adj, level)`` announces the
+    it once per pair, direction and level >= 2, and at level 1 when the
+    decider has no masks, and a subclass may answer it in one batch.
+    ``marginally_independent(pairs)`` answers level 0 for every pair at
+    once; ``level_one_masks(adj)`` may answer level 1 as bitmasks, but
+    returns None here.  ``prefetch_block(u, adj, level)`` announces the
     direction-u queries of u's pairs at a level before any is asked.
     ``max_cond_size`` is the largest usable conditioning-set size (None for
     unbounded); skeleton search will not query beyond it.  Noteworthy events
@@ -111,6 +114,11 @@ class CiDecider:
 
     def decide(self, u: int, v: int, s: tuple[int, ...]) -> bool:
         raise NotImplementedError
+
+    def level_one_masks(self, adj: Sequence[int]) -> list[tuple[int, int]] | None:
+        """Per edge (a, b), a < b, of the graph with neighbour bitmasks ``adj``, in lexicographic
+        order: the bitmasks of the c that separate a and b and of the non-PD c.  None here."""
+        return None
 
     def prefetch_block(self, u: int, adj: Sequence[int], level: int) -> None:
         """Each pair (u, w > u) will first ask size-``level`` subsets of adj - {w}; ignored here."""
@@ -146,8 +154,10 @@ class RankCiDecider(CiDecider):
     raises ``ValueError``.  A submatrix that is not positive definite yields
     a 'dependent' answer and a warning rather than an exception, so a run on
     badly conditioned estimates degrades to keeping edges instead of crashing.
-    ``prefetch_block`` fills the memo with a block's queries in one kernel
-    call, so the walk that follows reads them back.
+    ``level_one_masks`` reads the level-1 table, which
+    ``PartialCorrelations.level_one`` writes, and ``warn_nonpd`` warns for
+    the non-PD c the walk passes.  ``prefetch_block`` fills the memo with a
+    block's queries in one kernel call, so the walk reads them back.
     """
 
     def __init__(self, sigma, n: int, config: TestConfig):
@@ -192,6 +202,17 @@ class RankCiDecider(CiDecider):
                     self.warnings += [self._nonpd_warning(u, v, ())] * 2
         gamma = self._cutoff(0)
         return [abs(m[u][v]) <= gamma for u, v in pairs]
+
+    def level_one_masks(self, adj: Sequence[int]) -> list[tuple[int, int]]:
+        table, nonpd = self.partials.level_one(adj)
+        packed = np.packbits(table <= self._cutoff(1), 1, bitorder="little")
+        buf, width = packed.tobytes(), packed.shape[1]
+        seps = (int.from_bytes(buf[j : j + width], "little") for j in range(0, len(buf), width))
+        return list(zip(seps, nonpd))
+
+    def warn_nonpd(self, u: int, v: int, bits: int) -> None:
+        """Warn for (u, v | c) at each bit c of ``bits``, from the lowest up."""
+        self.warnings += [self._nonpd_warning(u, v, (c,)) for c in _bits(bits)]
 
     def prefetch_block(self, u: int, adj: Sequence[int], level: int) -> None:
         self.partials.fill_block(u, adj, level)

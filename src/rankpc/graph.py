@@ -337,6 +337,15 @@ def _set_arrow(states: dict, a: int, b: int) -> None:
         states[(b, a)] = EdgeState.BACKWARD
 
 
+def _bits(m: int) -> list[int]:
+    """The nodes of the bitmask ``m``, in ascending order."""
+    out = []
+    while m:
+        out.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    return out
+
+
 def _two_nonadjacent(m: int, adj: list[int]) -> bool:
     """Do two nodes of the bitmask ``m`` lie nonadjacent under ``adj``?"""
     while m:

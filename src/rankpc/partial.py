@@ -20,7 +20,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .correlation import validate_correlation_matrix
-from .graph import node_set
+from .graph import _bits, node_set
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-9
+_CHUNK = 4096  # rows per kernel call in PartialCorrelations.level_one, which bounds its memory
 
 
 class NotPositiveDefiniteError(ArithmeticError):
@@ -71,11 +72,13 @@ class PartialCorrelations:
     once.  Every r(a, b | {}) is computed up front in one batch, since skeleton
     search asks them all; ``marginal[a][b]`` holds it for both orders of the
     pair, as nested lists, and ``has_nonpd_marginal`` says whether any of them
-    is NaN.  The memo of r(a, b | S), a < b and S nonempty, is read by
-    ``batch`` and written by ``_compute``, which runs the kernel once over
-    every set its caller found missing: ``batch`` on a miss, and
+    is NaN.  The memo of r(a, b | S), a < b and |S| >= 2 in skeleton search,
+    is read by ``batch`` and written by ``_compute``, which runs the kernel
+    once over every set its caller found missing: ``batch`` on a miss, and
     ``fill_block`` ahead of a node's block of skeleton-search queries.  A NaN
-    value marks a submatrix that is not positive definite.
+    value marks a submatrix that is not positive definite.  Level 1 of
+    skeleton search reads a separate table of |r(a, b | c)|, one row of p
+    floats per pair, which ``level_one`` alone writes.
     """
 
     def __init__(self, sigma):
@@ -89,6 +92,8 @@ class PartialCorrelations:
         self.has_nonpd_marginal = bool(np.isnan(r).any())
         self._memo: dict[tuple[int, int], dict[tuple[int, ...], float]] = {}
         self._filled: set[tuple[int, int]] = set()  # (node, level) blocks already filled
+        self._level1: dict[tuple[int, int], list[int]] = {}  # (a, b) -> [row, computed c, non-PD c]
+        self._table = np.empty((0, p))  # the rows of |r(a, b | c)|
 
     def batch(self, a: int, b: int, conds: Sequence[tuple[int, ...]]) -> list[float]:
         """r(a, b | S) for each S in ``conds``; needs a < b, each S sorted, all of one size."""
@@ -119,6 +124,36 @@ class PartialCorrelations:
                 asked.append((u, w, [c for c in subsets if c not in known]))
         if any(missing for _, _, missing in asked):
             self._compute(asked)
+
+    def level_one(self, adj: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+        """|r(a, b | c)| at [i, c] for the i-th edge (a, b), a < b, in lexicographic order of the graph
+        with neighbour bitmasks ``adj``, and per edge the bitmask of the c whose submatrix is not PD.
+
+        Computes, in kernel calls of at most ``_CHUNK`` rows, each r(a, b | c), c adjacent to a or b,
+        that no earlier call did; an entry not computed, or not PD, is NaN.
+        """
+        p = self.sigma.shape[0]
+        pairs = [(a, b) for a in range(p) for b in _bits(adj[a]) if a < b]
+        known = [self._level1.setdefault(pair, [len(self._level1), 0, 0]) for pair in pairs]
+        need = [(adj[a] | adj[b]) & ~(1 << a | 1 << b | k[1]) for (a, b), k in zip(pairs, known)]
+        rows = np.array([k[0] for k in known], np.intp)
+        grow = len(self._level1) - len(self._table)  # rows for the pairs new here
+        if grow:
+            self._table = np.vstack([self._table, np.full((grow, p), np.nan)])
+        if any(need):
+            width = (p + 7) // 8
+            packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in need), np.uint8)
+            i, c = np.nonzero(np.unpackbits(packed.reshape(-1, width), 1, p, bitorder="little"))
+            ab = np.array(pairs, np.intp)
+            for lo in range(0, len(i), _CHUNK):
+                ii, cc = i[lo : lo + _CHUNK], c[lo : lo + _CHUNK]
+                r = partial_corr_batch(self.sigma, np.stack([cc, ab[ii, 0], ab[ii, 1]], axis=1))
+                self._table[rows[ii], cc] = np.abs(r)
+                for j in np.flatnonzero(np.isnan(r)).tolist():
+                    known[ii[j]][2] |= 1 << int(cc[j])
+            for k, m in zip(known, need):
+                k[1] |= m
+        return self._table[rows], [k[2] for k in known]
 
     def _compute(self, asked: list[tuple[int, int, list[tuple[int, ...]]]]) -> None:
         """Run the kernel once over every (a, b, missing sets), all sets of one size, and memoise."""

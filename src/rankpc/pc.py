@@ -17,6 +17,7 @@ from .graph import (
     EdgeState,
     Pdag,
     _arrow_in,
+    _bits,
     _meek_fixpoint,
     _set_arrow,
     pdag_to_text,
@@ -70,19 +71,22 @@ def pc_skeleton(
 
     At level l >= 1, each still-adjacent pair (u, v) is tested against every
     size-l subset of adj(u) - {v}, then of adj(v) - {u}, until some query
-    reports independence; the first separating set found is recorded.  Each
-    (pair, direction, level) is one ``decider.first_independent`` call, and
-    ``tests_run`` counts the subsets up to the first independent one.  Pairs
+    reports independence; the first separating set found is recorded, and
+    ``tests_run`` counts the subsets up to the first independent one.  At
+    level 1 the decider may answer every pair at the start of the level, as
+    bitmasks from ``level_one_masks(adj)``; otherwise each (pair,
+    direction, level) is one ``decider.first_independent`` call.  Pairs
     are processed in lexicographic order and candidate subsets in
     lexicographic order over the sorted neighbor list, so runs are
     deterministic.  By default adjacency sets shrink as edges fall during a
     level (the classic order-dependent behavior); ``stable=True`` freezes the
     neighbor lists at the start of each level instead.
 
-    The pairs (u, w > u) of one node u come one after another: u's block.
-    Its first pair calls ``decider.prefetch_block(u, adj(u), level)``.  A
-    removal inside the block only drops neighbors, so every direction-u
-    subset list the walk then asks is that announced one, filtered.
+    At levels >= 2, the pairs (u, w > u) of one node u come one after
+    another: u's block.  Its first pair calls
+    ``decider.prefetch_block(u, adj(u), level)``.  A removal inside the
+    block only drops neighbors, so every direction-u subset list the walk
+    then asks is that announced one, filtered.
 
     The level ceiling is the smallest of ``max_cond`` and the decider's own
     ``max_cond_size``, when given.
@@ -110,7 +114,10 @@ def pc_skeleton(
             nbrs[u].append(v)
             nbrs[v].append(u)
     max_used = 0
-    level = 1
+    if (ceiling is None or ceiling >= 1) and max(map(len, nbrs)) > 1:
+        tests_run += _level_one(decider, nbrs, sepsets, stable)
+        max_used = 1  # the first pair walked with a neighbour to spare asks a query
+    level = 2
     while ceiling is None or level <= ceiling:
         if max(map(len, nbrs)) <= level:
             break
@@ -142,6 +149,45 @@ def pc_skeleton(
     return SkeletonResult(p, edges, sepsets, tests_run, max_used)
 
 
+def _level_one(decider: CiDecider, nbrs: list[list[int]], sepsets: dict, stable: bool) -> int:
+    """Level 1 of :func:`pc_skeleton` on bitmasks; updates ``nbrs`` and ``sepsets``, returns tests run.
+
+    Direction a of pair (u, v) asks each c in ``cand = adj(a) - {b}`` from the lowest up: the
+    separator is the lowest bit of ``sep & cand``, and each non-PD bit below it is warned.  A
+    decider without masks is asked ``first_independent(u, v, [(c,) for c in cand])``.
+    """
+    p = len(nbrs)
+    pairs = [(u, v) for u in range(p) for v in nbrs[u] if u < v]
+    adj = [sum(1 << x for x in xs) for xs in nbrs]
+    frozen = adj.copy() if stable else adj
+    masks = decider.level_one_masks(adj)
+    tests = 0
+    for k, (u, v) in enumerate(pairs):
+        for a, b in ((u, v), (v, u)):
+            cand = frozen[a] & ~(1 << b)
+            if not cand:
+                continue
+            if masks is None:
+                cs = _bits(cand)
+                i = decider.first_independent(u, v, [(c,) for c in cs])
+                low, nonpd = 0 if i is None else 1 << cs[i], 0
+            else:
+                sep, nonpd = masks[k]
+                low = sep & cand & -(sep & cand)
+            asked = cand & (low - 1)  # every candidate when there is no hit
+            if nonpd & asked:
+                decider.warn_nonpd(u, v, nonpd & asked)
+            tests += asked.bit_count() + (low != 0)
+            if low:
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                nbrs[u].remove(v)
+                nbrs[v].remove(u)
+                sepsets[(u, v)] = (low.bit_length() - 1,)
+                break
+    return tests
+
+
 def orient_colliders(
     edges: set[tuple[int, int]],
     sepsets: dict[tuple[int, int], tuple[int, ...]],
@@ -161,23 +207,25 @@ def orient_colliders(
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     warnings: list[str] = []
-    for (u, w), sep in sorted(sepsets.items()):
-        if (u, w) in states:
-            continue
-        common = adj[u] & adj[w]
-        for x in sep:
-            common &= ~(1 << x)
-        while common:
-            low = common & -common
-            common ^= low
-            v = low.bit_length() - 1
-            for a in (u, w):  # u -> v, then w -> v
-                if _arrow_in(states, v, a):
-                    warnings.append(
-                        f"orientation conflict on pair {min(a, v), max(a, v)}: "
-                        f"overwriting with {a} -> {v}"
-                    )
-                _set_arrow(states, a, v)
+    for u in range(p):
+        reach = 0
+        for v in _bits(adj[u]):
+            reach |= adj[v]
+        for w in _bits(reach & ~adj[u] & -(2 << u)):  # nonadjacent w > u with a common neighbour
+            sep = sepsets.get((u, w))
+            if sep is None:
+                continue
+            common = adj[u] & adj[w]
+            for x in sep:
+                common &= ~(1 << x)
+            for v in _bits(common):
+                for a in (u, w):  # u -> v, then w -> v
+                    if _arrow_in(states, v, a):
+                        warnings.append(
+                            f"orientation conflict on pair {min(a, v), max(a, v)}: "
+                            f"overwriting with {a} -> {v}"
+                        )
+                    _set_arrow(states, a, v)
     return states, warnings
 
 

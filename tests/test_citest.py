@@ -210,6 +210,36 @@ NONPD_BLOCK = np.array(
 )
 
 
+def test_level_one_table_holds_kernel_values_computed_once(monkeypatch):
+    sigma = random_correlation(np.random.default_rng(31), 8)
+    sigma[:3, :3] = NONPD_BLOCK
+    partials = PartialCorrelations(sigma)
+    calls = []
+    kernel = rankpc.partial.partial_corr_batch
+
+    def counted(mat, idx):
+        calls.append(idx.tolist())
+        return kernel(mat, idx)
+
+    monkeypatch.setattr(rankpc.partial, "partial_corr_batch", counted)
+    monkeypatch.setattr(rankpc.partial, "_CHUNK", 4)
+    first = [(0, 1), (0, 2), (1, 2), (2, 5), (4, 6)]
+    needed = set()
+    for edges in (first, first + [(1, 7), (3, 4)], first):  # the last call computes nothing
+        adj = [sum(1 << y for e in edges if x in e for y in e if y != x) for x in range(8)]
+        table, nonpd = partials.level_one(adj)
+        assert len(table) == len(nonpd) == len(edges)
+        for i, (a, b) in enumerate(sorted(edges)):
+            needed |= {(c, a, b) for c in range(8) if (adj[a] | adj[b]) >> c & 1 and c not in (a, b)}
+            want = [abs(kernel(sigma, np.array([[c, a, b]]))[0]) if (c, a, b) in needed else math.nan for c in range(8)]
+            assert np.array_equal(table[i], want, equal_nan=True)  # bitwise the kernel's
+            assert nonpd[i] == sum(1 << c for c, r in enumerate(want) if (c, a, b) in needed and math.isnan(r))
+        assert all(len(rows) <= 4 for rows in calls)
+        done = [tuple(row) for rows in calls for row in rows]
+        assert sorted(done) == sorted(needed)  # each entry computed once, over all calls
+    assert [m >> c & 1 for m, c in zip(nonpd, (2, 1, 0))] == [1, 1, 1]  # the non-PD block
+
+
 def test_rank_decider_nonpd_submatrix_is_dependent_with_warning():
     dec = RankCiDecider(NONPD_BLOCK, 100, TestConfig("fisher_z", alpha=0.05))
     assert not dec.decide(0, 1, (2,))

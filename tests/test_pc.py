@@ -6,6 +6,7 @@ import rankpc.partial
 from rankpc.citest import CiDecider, OracleDecider, RankCiDecider, TestConfig
 from rankpc.correlation import estimate_correlation_matrix
 from rankpc.graph import Dag, EdgeState, Pdag, cpdag, skeleton
+from rankpc.partial import PartialCorrelations
 from rankpc.pc import PcResult, orient_colliders, pc_result_to_text, pc_skeleton, run_pc
 from rankpc.simulate import SemModel, random_dag, random_weights, sample_sem
 
@@ -126,8 +127,9 @@ def test_skeleton_matches_naive_oracle(kind, seed, p, degenerate, n, cutoff, sta
 
 
 class UnprefetchedDecider(RankCiDecider):
-    """The rank decider without block prefetch: every memo miss is filled by its own query."""
+    """The rank decider without the level-1 sweep or block prefetch: each memo miss is its own query."""
 
+    level_one_masks = CiDecider.level_one_masks
     prefetch_block = CiDecider.prefetch_block
 
 
@@ -149,12 +151,36 @@ def test_block_prefetch_same_result_fewer_kernel_calls(monkeypatch, stable):
     def learn(cls):
         calls.clear()
         result = run_pc(cls(sigma, data.n, TestConfig("fisher_z", alpha=0.01)), 60, stable=stable)
-        return result, len(calls)
+        return result, list(calls)
 
     (fast, fast_calls), (slow, slow_calls) = learn(RankCiDecider), learn(UnprefetchedDecider)
     assert fast == slow  # pdag, sepsets, tests_run, max_cond_used and warnings
     assert fast.max_cond_used >= 2
-    assert fast_calls <= 0.6 * slow_calls
+    assert len(fast_calls) <= 0.6 * len(slow_calls)
+    assert max(fast_calls) <= 4096
+
+
+def test_level_one_warns_only_below_the_separator():
+    # r(0, 1 | 2) = 0, while the submatrix over {0, 1, 3} is not positive definite
+    sigma = np.array([[1, 0.64, 0.8, 0.9], [0.64, 1, 0.8, -0.9], [0.8, 0.8, 1, 0], [0.9, -0.9, 0, 1]])
+    config = TestConfig("fisher_z", alpha=0.01)
+    got = run_pc(RankCiDecider(sigma, 1000, config), 4)
+    assert got == run_pc(UnprefetchedDecider(sigma, 1000, config), 4)
+    assert got.sepsets[(0, 1)] == (2,)
+    assert got.warnings and not any("(0, 1 | (3,))" in w for w in got.warnings)
+
+
+@pytest.mark.parametrize("stable", [False, True])
+def test_sparse_first_shared_memo_matches_fresh_deciders(stable):
+    # Sparsest alpha first, so each denser fit finds some pairs' level-1 rows
+    # filled only for the neighbours an earlier fit had.
+    sigma = random_correlation(np.random.default_rng(5), 12)
+    sigma[:3, :3] = NONPD_BLOCK
+    partials = PartialCorrelations(sigma)
+    for alpha in (1e-9, 1e-6, 1e-4, 1e-2, 0.2):
+        config = TestConfig("fisher_z", alpha=alpha)
+        shared = run_pc(RankCiDecider(partials, 60, config), 12, stable=stable)
+        assert shared == run_pc(RankCiDecider(sigma, 60, config), 12, stable=stable)
 
 
 def test_run_pc_unit_correlation_keeps_the_pair():
@@ -195,6 +221,16 @@ def test_orient_colliders_conflict_logged_last_write_wins():
     assert states[(0, 1)] == EdgeState.BACKWARD  # the later triple re-aimed it
     assert states[(1, 2)] == EdgeState.BACKWARD
     assert states[(0, 3)] == EdgeState.BACKWARD
+
+
+def test_orient_colliders_warns_in_pair_order():
+    # every nonadjacent pair separated by the empty set: six conflicts, two of them from u = 1
+    edges = {(0, 3), (1, 2), (1, 5), (2, 3), (3, 4), (3, 5)}
+    sepsets = {(u, w): () for u in range(6) for w in range(u + 1, 6) if (u, w) not in edges}
+    states, warnings = orient_colliders(edges, sepsets, 6)
+    want_states, want_warnings = set_orient_colliders(edges, sepsets, 6)
+    assert list(states.items()) == list(want_states.items())
+    assert len(warnings) == 6 and warnings == want_warnings
 
 
 @settings(max_examples=300, deadline=None)

@@ -99,7 +99,7 @@ class CiDecider:
     it once per pair, direction and level >= 2, and at level 1 when the
     decider has no masks, and a subclass may answer it in one batch.
     ``marginally_independent(pairs)`` answers level 0 for every pair at
-    once; ``level_one_masks(adj)`` may answer level 1 as bitmasks, but
+    once; ``level_one_masks(pairs)`` may answer level 1 as bitmasks, but
     returns None here.  ``prefetch_block(u, adj, level)`` announces the
     direction-u queries of u's pairs at a level before any is asked.
     ``max_cond_size`` is the largest usable conditioning-set size (None for
@@ -115,9 +115,9 @@ class CiDecider:
     def decide(self, u: int, v: int, s: tuple[int, ...]) -> bool:
         raise NotImplementedError
 
-    def level_one_masks(self, adj: Sequence[int]) -> list[tuple[int, int]] | None:
-        """Per edge (a, b), a < b, of the graph with neighbour bitmasks ``adj``, in lexicographic
-        order: the bitmasks of the c that separate a and b and of the non-PD c.  None here."""
+    def level_one_masks(self, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]] | None:
+        """Per pair (a, b), a < b, of ``pairs``, the edges at the start of level 1: the bitmasks
+        of the c that separate a and b and of the non-PD c.  None here."""
         return None
 
     def prefetch_block(self, u: int, adj: Sequence[int], level: int) -> None:
@@ -154,10 +154,10 @@ class RankCiDecider(CiDecider):
     raises ``ValueError``.  A submatrix that is not positive definite yields
     a 'dependent' answer and a warning rather than an exception, so a run on
     badly conditioned estimates degrades to keeping edges instead of crashing.
-    ``level_one_masks`` reads the level-1 table, which
-    ``PartialCorrelations.level_one`` writes, and ``warn_nonpd`` warns for
-    the non-PD c the walk passes.  ``prefetch_block`` fills the memo with a
-    block's queries in one kernel call, so the walk reads them back.
+    ``level_one_masks`` compares the table ``PartialCorrelations.level_one``
+    computes with the level-1 cutoff, and ``warn_nonpd`` warns for the non-PD
+    c the walk passes.  ``prefetch_block`` fills the memo with a block's
+    queries in one kernel call, so the walk reads them back.
     """
 
     def __init__(self, sigma, n: int, config: TestConfig):
@@ -203,11 +203,14 @@ class RankCiDecider(CiDecider):
         gamma = self._cutoff(0)
         return [abs(m[u][v]) <= gamma for u, v in pairs]
 
-    def level_one_masks(self, adj: Sequence[int]) -> list[tuple[int, int]]:
-        table, nonpd = self.partials.level_one(adj)
-        packed = np.packbits(table <= self._cutoff(1), 1, bitorder="little")
-        buf, width = packed.tobytes(), packed.shape[1]
-        seps = (int.from_bytes(buf[j : j + width], "little") for j in range(0, len(buf), width))
+    def level_one_masks(self, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+        table, nonpd = self.partials.level_one(pairs)
+        below = np.zeros((len(table), -(-table.shape[1] // 64) * 64), bool)  # whole 64-bit words per row
+        np.less_equal(table, self._cutoff(1), out=below[:, : table.shape[1]])
+        words = np.packbits(below, 1, bitorder="little").view("<u8").T.tolist()
+        seps = words[0]
+        for w, word in enumerate(words[1:], 1):
+            seps = [s | x << 64 * w for s, x in zip(seps, word)]
         return list(zip(seps, nonpd))
 
     def warn_nonpd(self, u: int, v: int, bits: int) -> None:

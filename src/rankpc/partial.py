@@ -1,12 +1,12 @@
 """Partial correlations and the conditioning quantities behind the error bound.
 
-One engine computes partial correlations: a Cholesky factorization of the
-relevant principal submatrix, batched over many conditioning sets of one
-size and memoised per correlation matrix by :class:`PartialCorrelations`,
-which the data-driven CI decider reads.  The conditioning functionals
-(smallest nonzero partial correlation, smallest submatrix eigenvalue) feed
-the closed-form bound on the probability that rank-based structure learning
-returns a wrong equivalence class.
+One engine computes partial correlations: closed forms for conditioning
+sets of size 0 and 1 and a Cholesky factorization for larger ones, batched
+over many sets of one size and memoised per correlation matrix by
+:class:`PartialCorrelations`, which the data-driven CI decider reads.  The
+conditioning functionals (smallest nonzero partial correlation, smallest
+submatrix eigenvalue) feed the closed-form bound on the probability that
+rank-based structure learning returns a wrong equivalence class.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .correlation import validate_correlation_matrix
-from .graph import _bits, node_set
+from .graph import node_set
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-9
-_CHUNK = 4096  # rows per kernel call in PartialCorrelations.level_one, which bounds its memory
 
 
 class NotPositiveDefiniteError(ArithmeticError):
@@ -47,19 +46,31 @@ class NotPositiveDefiniteError(ArithmeticError):
         super().__init__(f"submatrix over indices {self.indices} is not positive definite")
 
 
-@np.errstate(invalid="ignore")
-def partial_corr_batch(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """r(a, b | S) for every row S + (a, b) of ``idx``, from one stacked factorization.
+def _unit_only(r: np.ndarray) -> np.ndarray:
+    """``r`` with NaN wherever not |r| < 1."""
+    return np.where(np.abs(r) < 1, r, np.nan)
 
-    ``mat`` is a validated correlation matrix and ``idx`` a (k, |S| + 2)
-    integer array without repeats in a row.  With L the Cholesky factor of a
-    row's submatrix, L[-1, -2] / hypot(L[-1, -2], L[-1, -1]) is its partial
-    correlation.  One call to the gufunc behind ``np.linalg.cholesky``, with
-    the invalid-value flag it raises on failure ignored, factorizes every
-    submatrix on its own: a row whose submatrix is not positive definite comes
-    back NaN, and the other rows are unaffected.
+
+def partial_corr_batch(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """r(a, b | S) for every row S + (a, b) of ``idx``, NaN where the submatrix is not PD.
+
+    ``mat`` is a validated correlation matrix and ``idx`` a (k, |S| + 2) integer array without
+    repeats in a row; entries are read from the lower triangle of each row's submatrix.  As in
+    pcalg, r(a, b | {}) is the entry and r(a, b | c) = (r_ab - r_ac r_bc) / sqrt(da db), with
+    da = 1 - r_ac^2, in the recursive formula's arithmetic: PD exactly when da, db > 0 and |r| < 1.
+    These closed forms assume the unit diagonal and symmetry that validation enforces only up to
+    its tolerance, so on an inexact matrix they can differ from a factorization by about that.
+    Larger sets give L[-1, -2] / hypot(L[-1, -2], L[-1, -1]), L the Cholesky factor of the row's
+    submatrix, from one gufunc call: a row that admits no factorization alone comes back NaN.
     """
-    chol = _umath_linalg.cholesky_lo(mat[idx[:, :, None], idx[:, None, :]])
+    if idx.shape[1] == 2:
+        return _unit_only(mat[idx[:, 1], idx[:, 0]])
+    if idx.shape[1] == 3:
+        r_ac, r_bc = mat[idx[:, 1], idx[:, 0]], mat[idx[:, 2], idx[:, 0]]
+        da, db = (np.where(np.abs(r) < 1, 1 - r * r, np.nan) for r in (r_ac, r_bc))
+        return _unit_only((mat[idx[:, 2], idx[:, 1]] - r_ac * r_bc) / np.sqrt(da * db))
+    with np.errstate(invalid="ignore"):
+        chol = _umath_linalg.cholesky_lo(mat[idx[:, :, None], idx[:, None, :]])
     x, y = chol[:, -1, -2], chol[:, -1, -1]
     return x / np.hypot(x, y)
 
@@ -69,31 +80,27 @@ class PartialCorrelations:
 
     Deciders at different significance levels ask largely the same queries,
     so sharing one instance between them computes each partial correlation
-    once.  Every r(a, b | {}) is computed up front in one batch, since skeleton
-    search asks them all; ``marginal[a][b]`` holds it for both orders of the
-    pair, as nested lists, and ``has_nonpd_marginal`` says whether any of them
-    is NaN.  The memo of r(a, b | S), a < b and |S| >= 2 in skeleton search,
-    is read by ``batch`` and written by ``_compute``, which runs the kernel
-    once over every set its caller found missing: ``batch`` on a miss, and
-    ``fill_block`` ahead of a node's block of skeleton-search queries.  A NaN
-    value marks a submatrix that is not positive definite.  Level 1 of
-    skeleton search reads a separate table of |r(a, b | c)|, one row of p
-    floats per pair, which ``level_one`` alone writes.
+    once.  ``marginal[a][b]`` holds r(a, b | {}), the entry, for both orders
+    of each pair as nested lists; ``has_nonpd_marginal`` says whether any is
+    NaN.  ``batch`` reads the memo of r(a, b | S), a < b, and ``_compute``
+    writes it, one kernel call over every set missing on a ``batch`` miss or
+    ahead of a node's block of skeleton-search queries (``fill_block``).
+    NaN marks a submatrix that is not positive definite.  ``level_one``
+    computes a fit's level-1 table from the rows of sigma and 1 - sigma^2.
     """
 
     def __init__(self, sigma):
         self.sigma = validate_correlation_matrix(sigma)
         p = self.sigma.shape[0]
-        upper = np.triu_indices(p, 1)
-        r = partial_corr_batch(self.sigma, np.stack(upper, axis=1))
-        marginal = np.full((p, p), math.nan)
-        marginal[upper] = marginal.T[upper] = r
+        marginal = _unit_only(np.where(np.tri(p, dtype=bool), self.sigma, self.sigma.T))  # sigma[b, a], a < b
+        np.fill_diagonal(marginal, np.nan)
         self.marginal: list[list[float]] = marginal.tolist()
-        self.has_nonpd_marginal = bool(np.isnan(r).any())
+        self.has_nonpd_marginal = np.count_nonzero(np.isnan(marginal)) > p
+        gap = np.where(np.abs(self.sigma) < 1, 1 - self.sigma * self.sigma, np.nan)
+        np.fill_diagonal(gap, np.nan)  # c = a is never a conditioning node of (a, b)
+        self._rows = np.stack([self.sigma, gap])  # the rows level_one gathers
         self._memo: dict[tuple[int, int], dict[tuple[int, ...], float]] = {}
         self._filled: set[tuple[int, int]] = set()  # (node, level) blocks already filled
-        self._level1: dict[tuple[int, int], list[int]] = {}  # (a, b) -> [row, computed c, non-PD c]
-        self._table = np.empty((0, p))  # the rows of |r(a, b | c)|
 
     def batch(self, a: int, b: int, conds: Sequence[tuple[int, ...]]) -> list[float]:
         """r(a, b | S) for each S in ``conds``; needs a < b, each S sorted, all of one size."""
@@ -125,35 +132,25 @@ class PartialCorrelations:
         if any(missing for _, _, missing in asked):
             self._compute(asked)
 
-    def level_one(self, adj: Sequence[int]) -> tuple[np.ndarray, list[int]]:
-        """|r(a, b | c)| at [i, c] for the i-th edge (a, b), a < b, in lexicographic order of the graph
-        with neighbour bitmasks ``adj``, and per edge the bitmask of the c whose submatrix is not PD.
-
-        Computes, in kernel calls of at most ``_CHUNK`` rows, each r(a, b | c), c adjacent to a or b,
-        that no earlier call did; an entry not computed, or not PD, is NaN.
-        """
-        p = self.sigma.shape[0]
-        pairs = [(a, b) for a in range(p) for b in _bits(adj[a]) if a < b]
-        known = [self._level1.setdefault(pair, [len(self._level1), 0, 0]) for pair in pairs]
-        need = [(adj[a] | adj[b]) & ~(1 << a | 1 << b | k[1]) for (a, b), k in zip(pairs, known)]
-        rows = np.array([k[0] for k in known], np.intp)
-        grow = len(self._level1) - len(self._table)  # rows for the pairs new here
-        if grow:
-            self._table = np.vstack([self._table, np.full((grow, p), np.nan)])
-        if any(need):
-            width = (p + 7) // 8
-            packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in need), np.uint8)
-            i, c = np.nonzero(np.unpackbits(packed.reshape(-1, width), 1, p, bitorder="little"))
-            ab = np.array(pairs, np.intp)
-            for lo in range(0, len(i), _CHUNK):
-                ii, cc = i[lo : lo + _CHUNK], c[lo : lo + _CHUNK]
-                r = partial_corr_batch(self.sigma, np.stack([cc, ab[ii, 0], ab[ii, 1]], axis=1))
-                self._table[rows[ii], cc] = np.abs(r)
-                for j in np.flatnonzero(np.isnan(r)).tolist():
-                    known[ii[j]][2] |= 1 << int(cc[j])
-            for k, m in zip(known, need):
-                k[1] |= m
-        return self._table[rows], [k[2] for k in known]
+    def level_one(self, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
+        """|r(a, b | c)| at [i, c] for the i-th pair (a, b), a < b, of ``pairs`` and every node c, bitwise
+        ``partial_corr_batch`` on (c, a, b) and NaN at c = a and c = b; per pair, the bitmask of the
+        other NaN c.  One closed-form step over the gathered rows of a and b; the masks take a pass
+        over the rows only when some pair has more than those two NaN."""
+        p, k = self.sigma.shape[0], len(pairs)
+        ab = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * k).reshape(k, 2)
+        (r_ac, r_bc), (da, db) = np.take(self._rows, ab.T, axis=1)  # each a contiguous (k, p) block
+        table = np.multiply(r_ac, r_bc, out=r_ac)
+        np.subtract(self.sigma[ab[:, 1], ab[:, 0], None], table, out=table)
+        np.divide(table, np.sqrt(np.multiply(da, db, out=da), out=da), out=table)
+        np.abs(table, out=table)
+        ok = table < 1
+        nonpd = [0] * k
+        if np.count_nonzero(ok) < k * (p - 2):
+            table[~ok] = np.nan
+            for i in np.flatnonzero(np.count_nonzero(ok, axis=1) < p - 2).tolist():
+                nonpd[i] = sum(1 << c for c in np.flatnonzero(~ok[i]).tolist() if c not in pairs[i])
+        return table, nonpd
 
     def _compute(self, asked: list[tuple[int, int, list[tuple[int, ...]]]]) -> None:
         """Run the kernel once over every (a, b, missing sets), all sets of one size, and memoise."""
@@ -174,10 +171,10 @@ def _checked_query(p: int, u: int, v: int, s: Iterable[int]) -> tuple[int, int, 
 
 
 def partial_corr_inverse(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:
-    """Partial correlation from the Cholesky factor of the (S, u, v) principal submatrix.
+    """r(u, v | S) from ``partial_corr_batch``: the entry, the first-order closed form, or Cholesky.
 
-    Raises :class:`NotPositiveDefiniteError` (carrying the index set) when the
-    submatrix has no Cholesky factorization; no regularization is applied.
+    Raises :class:`NotPositiveDefiniteError`, carrying the index set, when the
+    (S, u, v) submatrix is not positive definite; no regularization is applied.
     """
     mat = validate_correlation_matrix(sigma)
     a, b, cond = _checked_query(mat.shape[0], u, v, s)

@@ -74,7 +74,7 @@ def pc_skeleton(
     reports independence; the first separating set found is recorded, and
     ``tests_run`` counts the subsets up to the first independent one.  At
     level 1 the decider may answer every pair at the start of the level, as
-    bitmasks from ``level_one_masks(adj)``; otherwise each (pair,
+    bitmasks from ``level_one_masks(pairs)``; otherwise each (pair,
     direction, level) is one ``decider.first_independent`` call.  Pairs
     are processed in lexicographic order and candidate subsets in
     lexicographic order over the sorted neighbor list, so runs are
@@ -160,7 +160,7 @@ def _level_one(decider: CiDecider, nbrs: list[list[int]], sepsets: dict, stable:
     pairs = [(u, v) for u in range(p) for v in nbrs[u] if u < v]
     adj = [sum(1 << x for x in xs) for xs in nbrs]
     frozen = adj.copy() if stable else adj
-    masks = decider.level_one_masks(adj)
+    masks = decider.level_one_masks(pairs)
     tests = 0
     for k, (u, v) in enumerate(pairs):
         for a, b in ((u, v), (v, u)):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
@@ -13,7 +14,7 @@ from rankpc.graph import Dag, d_separated
 from rankpc.partial import PartialCorrelations
 from rankpc.simulate import SemModel, random_dag, random_weights, sample_sem
 
-from oracles import fisher_z_decide, random_correlation
+from oracles import fisher_z_decide, halving_partial_corr_batch, partial_corr_recursive, random_correlation
 
 
 def test_config_validation():
@@ -210,34 +211,39 @@ NONPD_BLOCK = np.array(
 )
 
 
-def test_level_one_table_holds_kernel_values_computed_once(monkeypatch):
+def test_level_one_table_holds_kernel_values_without_cholesky(monkeypatch):
     sigma = random_correlation(np.random.default_rng(31), 8)
     sigma[:3, :3] = NONPD_BLOCK
+    cholesky = []
+    factor = _umath_linalg.cholesky_lo
+
+    def counted(mats, **kwargs):
+        cholesky.append(len(mats))
+        return factor(mats, **kwargs)
+
+    monkeypatch.setattr(_umath_linalg, "cholesky_lo", counted)
     partials = PartialCorrelations(sigma)
-    calls = []
-    kernel = rankpc.partial.partial_corr_batch
-
-    def counted(mat, idx):
-        calls.append(idx.tolist())
-        return kernel(mat, idx)
-
-    monkeypatch.setattr(rankpc.partial, "partial_corr_batch", counted)
-    monkeypatch.setattr(rankpc.partial, "_CHUNK", 4)
     first = [(0, 1), (0, 2), (1, 2), (2, 5), (4, 6)]
-    needed = set()
-    for edges in (first, first + [(1, 7), (3, 4)], first):  # the last call computes nothing
-        adj = [sum(1 << y for e in edges if x in e for y in e if y != x) for x in range(8)]
-        table, nonpd = partials.level_one(adj)
-        assert len(table) == len(nonpd) == len(edges)
-        for i, (a, b) in enumerate(sorted(edges)):
-            needed |= {(c, a, b) for c in range(8) if (adj[a] | adj[b]) >> c & 1 and c not in (a, b)}
-            want = [abs(kernel(sigma, np.array([[c, a, b]]))[0]) if (c, a, b) in needed else math.nan for c in range(8)]
-            assert np.array_equal(table[i], want, equal_nan=True)  # bitwise the kernel's
-            assert nonpd[i] == sum(1 << c for c, r in enumerate(want) if (c, a, b) in needed and math.isnan(r))
-        assert all(len(rows) <= 4 for rows in calls)
-        done = [tuple(row) for rows in calls for row in rows]
-        assert sorted(done) == sorted(needed)  # each entry computed once, over all calls
-    assert [m >> c & 1 for m, c in zip(nonpd, (2, 1, 0))] == [1, 1, 1]  # the non-PD block
+    fits = [(pairs, *partials.level_one(pairs)) for pairs in (first, sorted(first + [(1, 7), (3, 4)]), first[2:])]
+    assert cholesky == []  # levels 0 and 1 are closed forms
+    for pairs, table, nonpd in fits:
+        assert table.shape == (len(pairs), 8) and len(nonpd) == len(pairs)
+        for i, (a, b) in enumerate(pairs):
+            assert math.isnan(table[i, a]) and math.isnan(table[i, b])
+            others = [c for c in range(8) if c not in (a, b)]
+            want = np.abs(rankpc.partial.partial_corr_batch(sigma, np.array([[c, a, b] for c in others])))
+            assert table[i, others].tobytes() == want.tobytes()  # bitwise the kernel's, NaN included
+            assert nonpd[i] == sum(1 << c for c, r in zip(others, want) if math.isnan(r))
+            for c, r in zip(others, want):  # the NaN set is the Cholesky kernel's
+                assert math.isnan(r) == math.isnan(halving_partial_corr_batch(sigma, np.array([[c, a, b]]))[0])
+                assert math.isnan(r) or r == abs(partial_corr_recursive(sigma, a, b, [c]))
+    assert [m >> c & 1 for m, c in zip(fits[0][2], (2, 1, 0))] == [1, 1, 1]  # the non-PD block
+    inexact = sigma.copy()
+    np.fill_diagonal(inexact, 1 - 1e-9)  # validated: the closed forms read no diagonal entry
+    table, nonpd = PartialCorrelations(inexact).level_one(first)
+    assert table.tobytes() == fits[0][1].tobytes() and nonpd == fits[0][2]
+    for a in range(8):  # level 0 reads the entries
+        assert [math.isnan(x) if a == b else x == sigma[a, b] for b, x in enumerate(partials.marginal[a])] == [True] * 8
 
 
 def test_rank_decider_nonpd_submatrix_is_dependent_with_warning():

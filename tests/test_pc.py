@@ -170,6 +170,35 @@ def test_level_one_warns_only_below_the_separator():
     assert got.warnings and not any("(0, 1 | (3,))" in w for w in got.warnings)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(3, 10),
+    degenerate=st.sampled_from([None, "nonpd", "unit", "both"]),
+    variant=st.sampled_from(["fisher_z", "threshold"]),
+    n=st.integers(20, 1000),
+    cutoff=st.floats(0.0, 1.0),
+)
+def test_closed_form_levels_match_per_query_decider(seed, p, degenerate, variant, n, cutoff):
+    # levels 0 and 1 answered in bulk from the marginal table and the level-1 table, against
+    # one memo query per (pair, direction, level), on matrices with non-PD and unit submatrices
+    rng = np.random.default_rng(seed)
+    sigma = random_correlation(rng, p)
+    if degenerate in ("nonpd", "both"):
+        block = rng.choice(p, 3, replace=False)
+        sigma[np.ix_(block, block)] = NONPD_BLOCK
+    if degenerate in ("unit", "both"):
+        u, v = rng.choice(p, 2, replace=False)
+        sigma[u, v] = sigma[v, u] = 1.0
+    if variant == "fisher_z":
+        config = TestConfig("fisher_z", alpha=10.0 ** (-7.0 * cutoff - 0.5))
+    else:
+        config = TestConfig("threshold", gamma=cutoff)
+    for stable in (False, True):
+        got = run_pc(RankCiDecider(sigma, n, config), p, stable=stable)
+        assert got == run_pc(UnprefetchedDecider(sigma, n, config), p, stable=stable)
+
+
 @pytest.mark.parametrize("stable", [False, True])
 def test_sparse_first_shared_memo_matches_fresh_deciders(stable):
     # Sparsest alpha first, so each denser fit finds some pairs' level-1 rows

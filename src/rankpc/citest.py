@@ -12,8 +12,10 @@ equal to the z-transform test at level alpha.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -32,6 +34,8 @@ __all__ = [
 ]
 
 VARIANTS = ("threshold", "fisher_z")
+# (a, b, cand) -> (subsets asked, separator or None): one level of skeleton search, per direction
+Finder = Callable[[int, int, int], tuple[int, tuple | None]]
 
 
 @dataclass(frozen=True)
@@ -95,13 +99,12 @@ class CiDecider:
     ``decide(u, v, s)`` returns True for independent, False for dependent,
     and must be symmetric in (u, v).  ``first_independent(u, v, subsets)``
     asks sorted conditioning sets of one size in order and returns the index
-    of the first one that separates u and v, or None; skeleton search calls
-    it once per pair, direction and level >= 2, and at level 1 when the
-    decider has no masks, and a subclass may answer it in one batch.
-    ``marginally_independent(pairs)`` answers level 0 for every pair at
-    once; ``level_one_masks(pairs)`` may answer level 1 as bitmasks, but
-    returns None here.  ``prefetch_block(u, adj, level)`` announces the
-    direction-u queries of u's pairs at a level before any is asked.
+    of the first one that separates u and v, or None; a subclass may answer
+    it in one batch.  Skeleton search asks each level in bulk:
+    ``marginally_independent(p)`` answers level 0 for every pair at once,
+    ``level_one_masks(pairs)`` may answer level 1 as bitmasks, but returns
+    None here, and ``separator_finder(adj, level)`` answers each direction
+    of the levels above, here by one ``first_independent`` call.
     ``max_cond_size`` is the largest usable conditioning-set size (None for
     unbounded); skeleton search will not query beyond it.  Noteworthy events
     are appended to ``warnings``.
@@ -120,8 +123,21 @@ class CiDecider:
         of the c that separate a and b and of the non-PD c.  None here."""
         return None
 
-    def prefetch_block(self, u: int, adj: Sequence[int], level: int) -> None:
-        """Each pair (u, w > u) will first ask size-``level`` subsets of adj - {w}; ignored here."""
+    def separator_finder(self, adj: Sequence[int], level: int) -> Finder:
+        """Level ``level`` >= 2 of skeleton search over the adjacency bitmasks ``adj`` at its start.
+
+        The returned function takes a direction (a, b) and the bitmask ``cand`` of a's candidates,
+        inside adj[a] - {b}.  It returns the separator, the first size-``level`` subset of cand in
+        lexicographic order that separates a and b (or None), and how many subsets it asked: up to
+        and including the separator, or all of them.  Here that is one ``first_independent`` call.
+        """
+
+        def find(a: int, b: int, cand: int) -> tuple[int, tuple | None]:
+            subsets = list(combinations(_bits(cand), level))
+            i = self.first_independent(min(a, b), max(a, b), subsets)
+            return (len(subsets), None) if i is None else (i + 1, subsets[i])
+
+        return find
 
     def first_independent(self, u: int, v: int, subsets: Sequence[tuple[int, ...]]) -> int | None:
         for i, s in enumerate(subsets):
@@ -129,8 +145,8 @@ class CiDecider:
                 return i
         return None
 
-    def marginally_independent(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
-        """Is u independent of v given nothing, for each pair (u, v) with u < v?
+    def marginally_independent(self, p: int) -> list[bool]:
+        """Is u independent of v given nothing, for each pair u < v of p nodes, in lexicographic order?
 
         Asks ``first_independent(u, v, [()])`` once per pair, and once more
         for a dependent pair: skeleton search asks a pair that stays adjacent
@@ -139,7 +155,7 @@ class CiDecider:
         return [
             self.first_independent(u, v, [()]) is not None
             or self.first_independent(u, v, [()]) is not None
-            for u, v in pairs
+            for u, v in combinations(range(p), 2)
         ]
 
 
@@ -154,10 +170,13 @@ class RankCiDecider(CiDecider):
     raises ``ValueError``.  A submatrix that is not positive definite yields
     a 'dependent' answer and a warning rather than an exception, so a run on
     badly conditioned estimates degrades to keeping edges instead of crashing.
-    ``level_one_masks`` compares the table ``PartialCorrelations.level_one``
-    computes with the level-1 cutoff, and ``warn_nonpd`` warns for the non-PD
-    c the walk passes.  ``prefetch_block`` fills the memo with a block's
-    queries in one kernel call, so the walk reads them back.
+    Levels 0 to 2 of skeleton search compare a whole table with the level's
+    cutoff: ``marginally_independent`` the marginal entries,
+    ``level_one_masks`` the table ``PartialCorrelations.level_one`` computes
+    (``warn_nonpd`` warns for the non-PD c the walk passes), and the level-2
+    ``separator_finder`` the table ``PartialCorrelations.level_two`` keeps,
+    walked row by row over each direction's sets.  Levels above go through
+    ``first_independent`` and the memo, one block of it filled per node.
     """
 
     def __init__(self, sigma, n: int, config: TestConfig):
@@ -194,14 +213,16 @@ class RankCiDecider(CiDecider):
                 self.warnings.append(self._nonpd_warning(u, v, subsets[i]))
         return None
 
-    def marginally_independent(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
-        m = self.partials.marginal
-        if self.partials.has_nonpd_marginal:
-            for u, v in pairs:
-                if math.isnan(m[u][v]):  # asked from both sides, as a kept pair is
-                    self.warnings += [self._nonpd_warning(u, v, ())] * 2
-        gamma = self._cutoff(0)
-        return [abs(m[u][v]) <= gamma for u, v in pairs]
+    def marginally_independent(self, p: int) -> list[bool]:
+        """One comparison of ``PartialCorrelations.pair_marginal`` with the cutoff; p must be the
+        matrix's size.  A NaN pair is warned twice, as a kept pair is asked from both sides."""
+        partials = self.partials
+        if p != len(partials.sigma):
+            raise ValueError(f"asked about {p} variables of a {len(partials.sigma)}-variable matrix")
+        if partials.has_nonpd_marginal:
+            for u, v in zip(*np.nonzero(np.triu(np.isnan(partials.marginal), 1))):
+                self.warnings += [self._nonpd_warning(int(u), int(v), ())] * 2
+        return (partials.pair_marginal <= self._cutoff(0)).tolist()
 
     def level_one_masks(self, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
         table, nonpd = self.partials.level_one(pairs)
@@ -217,8 +238,46 @@ class RankCiDecider(CiDecider):
         """Warn for (u, v | c) at each bit c of ``bits``, from the lowest up."""
         self.warnings += [self._nonpd_warning(u, v, (c,)) for c in _bits(bits)]
 
-    def prefetch_block(self, u: int, adj: Sequence[int], level: int) -> None:
-        self.partials.fill_block(u, adj, level)
+    def separator_finder(self, adj: Sequence[int], level: int) -> Finder:
+        """At level 2, reads the rows of the direction in ``PartialCorrelations.level_two(adj)``:
+        the separator is the first row at or below the cutoff with both c and d in ``cand``, and
+        each non-PD row of cand before it is warned.  Above, as in the base class, after
+        ``PartialCorrelations.fill_block`` has computed a node's block of queries at its first
+        direction (a, b > a), in one kernel call."""
+        if level != 2:
+            find, filled = super().separator_finder(adj, level), set()
+
+            def find_filled(a: int, b: int, cand: int) -> tuple[int, tuple | None]:
+                if a < b and a not in filled:
+                    filled.add(a)
+                    self.partials.fill_block(a, _bits(adj[a]), level)
+                return find(a, b, cand)
+
+            return find_filled
+        table = self.partials.level_two(adj)
+        seps = np.flatnonzero(table.abs_r <= self._cutoff(2)).tolist() + [len(table.abs_r)]
+        tadj, start, width, cs, ds, nonpd = table.adj, table.start, table.width, table.c, table.d, table.nonpd
+
+        def find(a: int, b: int, cand: int) -> tuple[int, tuple | None]:
+            lo = start[a] + (tadj[a] & ((1 << b) - 1)).bit_count() * width[a]
+            hi = lo + width[a]
+            i = bisect_left(seps, lo)
+            while seps[i] < hi and not (cand >> cs[seps[i]] & 1 and cand >> ds[seps[i]] & 1):
+                i += 1
+            hit = min(seps[i], hi)
+            if nonpd:
+                for j in nonpd[bisect_left(nonpd, lo) : bisect_left(nonpd, hit)]:
+                    if cand >> cs[j] & 1 and cand >> ds[j] & 1:
+                        self.warnings.append(self._nonpd_warning(min(a, b), max(a, b), (cs[j], ds[j])))
+            m = cand.bit_count()
+            if hit == hi:
+                return m * (m - 1) // 2, None
+            c, d = cs[hit], ds[hit]
+            before_c = (cand & ((1 << c) - 1)).bit_count()
+            before_d = (cand & ((1 << d) - 1)).bit_count()  # c among them
+            return before_c * (2 * m - before_c - 1) // 2 + before_d - before_c, (c, d)
+
+        return find
 
     def decide(self, u: int, v: int, s: Iterable[int] = ()) -> bool:
         _, _, cond = _checked_query(self.partials.sigma.shape[0], u, v, s)

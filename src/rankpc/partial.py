@@ -1,9 +1,10 @@
 """Partial correlations and the conditioning quantities behind the error bound.
 
 One engine computes partial correlations: closed forms for conditioning
-sets of size 0 and 1 and a Cholesky factorization for larger ones, batched
-over many sets of one size and memoised per correlation matrix by
-:class:`PartialCorrelations`, which the data-driven CI decider reads.  The
+sets of size 0, 1 and 2 and a Cholesky factorization for larger ones,
+batched over many sets of one size.  :class:`PartialCorrelations` holds
+them per correlation matrix for the data-driven CI decider: whole tables
+for the first three levels of skeleton search, a memo beyond.  The
 conditioning functionals (smallest nonzero partial correlation, smallest
 submatrix eigenvalue) feed the closed-form bound on the probability that
 rank-based structure learning returns a wrong equivalence class.
@@ -13,14 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .correlation import validate_correlation_matrix
-from .graph import node_set
+from .graph import _bits, node_set
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -51,6 +53,13 @@ def _unit_only(r: np.ndarray) -> np.ndarray:
     return np.where(np.abs(r) < 1, r, np.nan)
 
 
+def _eliminate(r_ab: np.ndarray, r_ac: np.ndarray, r_bc: np.ndarray) -> np.ndarray:
+    """r(a, b | S + c) from r(a, b | S), r(a, c | S) and r(b, c | S) by the recursive formula:
+    (r_ab - r_ac r_bc) / sqrt(da db), da = 1 - r_ac^2, NaN unless da, db > 0 and |r| < 1."""
+    da, db = (np.where(np.abs(r) < 1, 1 - r * r, np.nan) for r in (r_ac, r_bc))
+    return _unit_only((r_ab - r_ac * r_bc) / np.sqrt(da * db))
+
+
 def partial_corr_batch(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """r(a, b | S) for every row S + (a, b) of ``idx``, NaN where the submatrix is not PD.
 
@@ -58,54 +67,91 @@ def partial_corr_batch(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     repeats in a row; entries are read from the lower triangle of each row's submatrix.  As in
     pcalg, r(a, b | {}) is the entry and r(a, b | c) = (r_ab - r_ac r_bc) / sqrt(da db), with
     da = 1 - r_ac^2, in the recursive formula's arithmetic: PD exactly when da, db > 0 and |r| < 1.
-    These closed forms assume the unit diagonal and symmetry that validation enforces only up to
-    its tolerance, so on an inexact matrix they can differ from a factorization by about that.
-    Larger sets give L[-1, -2] / hypot(L[-1, -2], L[-1, -1]), L the Cholesky factor of the row's
-    submatrix, from one gufunc call: a row that admits no factorization alone comes back NaN.
+    r(a, b | c, d) applies that step to r(a, b | d), r(a, c | d) and r(b, c | d), eliminating c
+    last as the recursion does for c < d: PD exactly when each of the four steps is.  The closed
+    forms assume the unit diagonal and symmetry that validation enforces only up to its tolerance,
+    so on an inexact matrix they can differ from a factorization by about that.  Larger sets give
+    L[-1, -2] / hypot(L[-1, -2], L[-1, -1]), L the Cholesky factor of the row's submatrix, from
+    one gufunc call: a row that admits no factorization alone comes back NaN.
     """
     if idx.shape[1] == 2:
         return _unit_only(mat[idx[:, 1], idx[:, 0]])
     if idx.shape[1] == 3:
-        r_ac, r_bc = mat[idx[:, 1], idx[:, 0]], mat[idx[:, 2], idx[:, 0]]
-        da, db = (np.where(np.abs(r) < 1, 1 - r * r, np.nan) for r in (r_ac, r_bc))
-        return _unit_only((mat[idx[:, 2], idx[:, 1]] - r_ac * r_bc) / np.sqrt(da * db))
+        c, a, b = idx.T
+        return _eliminate(mat[b, a], mat[a, c], mat[b, c])
+    if idx.shape[1] == 4:
+        c, d, a, b = idx.T
+        r_ad, r_bd, r_cd = mat[a, d], mat[b, d], mat[d, c]
+        r_ab = _eliminate(mat[b, a], r_ad, r_bd)  # all given d
+        r_ac, r_bc = _eliminate(mat[a, c], r_ad, r_cd), _eliminate(mat[b, c], r_bd, r_cd)
+        return _eliminate(r_ab, r_ac, r_bc)
     with np.errstate(invalid="ignore"):
         chol = _umath_linalg.cholesky_lo(mat[idx[:, :, None], idx[:, None, :]])
     x, y = chol[:, -1, -2], chol[:, -1, -1]
     return x / np.hypot(x, y)
 
 
+class LevelTwoTable(NamedTuple):
+    """|r(a, b | c, d)| for each direction (a, b) of the adjacency bitmasks ``adj`` with a of
+    degree >= 3, and each c < d among a's other neighbours.
+
+    Direction (a, b) owns ``width[a]`` = C(deg(a) - 1, 2) rows, its sets in lexicographic order,
+    from ``start[a]`` plus ``width[a]`` times the number of a's neighbours below b.  Row i holds
+    the set (``c[i]``, ``d[i]``) and ``abs_r[i]``, NaN where the submatrix is not positive
+    definite; ``nonpd`` lists those rows in ascending order.
+    """
+
+    adj: list[int]
+    start: list[int]
+    width: list[int]
+    c: list[int]
+    d: list[int]
+    abs_r: np.ndarray
+    nonpd: list[int]
+
+
+@lru_cache(maxsize=64)
+def _level_two_pattern(k: int) -> np.ndarray:
+    """Positions (c, d, b) in a sorted list of k neighbours: for each b in turn, each c < d of the rest."""
+    return np.array([(c, d, b) for b in range(k) for c, d in combinations(range(k), 2) if b not in (c, d)])
+
+
 class PartialCorrelations:
-    """Memoised r(a, b | S) over one correlation matrix, validated once.
+    """r(a, b | S) over one correlation matrix, validated once.
 
     Deciders at different significance levels ask largely the same queries,
     so sharing one instance between them computes each partial correlation
-    once.  ``marginal[a][b]`` holds r(a, b | {}), the entry, for both orders
-    of each pair as nested lists; ``has_nonpd_marginal`` says whether any is
-    NaN.  ``batch`` reads the memo of r(a, b | S), a < b, and ``_compute``
-    writes it, one kernel call over every set missing on a ``batch`` miss or
-    ahead of a node's block of skeleton-search queries (``fill_block``).
-    NaN marks a submatrix that is not positive definite.  ``level_one``
-    computes a fit's level-1 table from the rows of sigma and 1 - sigma^2.
+    once.  ``marginal`` is the (p, p) array of r(a, b | {}), the entry read
+    from sigma's lower triangle for both orders of each pair, NaN on the
+    diagonal and where |r| >= 1; ``has_nonpd_marginal`` says whether an
+    off-diagonal one is NaN, and ``pair_marginal`` holds |r(a, b | {})| for
+    the pairs a < b in lexicographic order.  ``level_one`` computes a fit's
+    level-1 table from the rows of sigma and 1 - sigma^2, and ``level_two``
+    the level-2 table, kept for later fits.  ``batch`` reads the memo of
+    r(a, b | S), a < b, that serves larger sets, and ``_compute`` writes it,
+    one kernel call over every set missing on a ``batch`` miss or ahead of a
+    node's block of skeleton-search queries (``fill_block``).  NaN marks a
+    submatrix that is not positive definite.
     """
 
     def __init__(self, sigma):
         self.sigma = validate_correlation_matrix(sigma)
         p = self.sigma.shape[0]
-        marginal = _unit_only(np.where(np.tri(p, dtype=bool), self.sigma, self.sigma.T))  # sigma[b, a], a < b
-        np.fill_diagonal(marginal, np.nan)
-        self.marginal: list[list[float]] = marginal.tolist()
-        self.has_nonpd_marginal = np.count_nonzero(np.isnan(marginal)) > p
+        self.marginal = _unit_only(np.where(np.tri(p, dtype=bool), self.sigma, self.sigma.T))  # sigma[b, a], a < b
+        np.fill_diagonal(self.marginal, np.nan)
+        self.has_nonpd_marginal = np.count_nonzero(np.isnan(self.marginal)) > p
+        self.pair_marginal = np.abs(self.marginal[np.triu_indices(p, 1)])
         gap = np.where(np.abs(self.sigma) < 1, 1 - self.sigma * self.sigma, np.nan)
         np.fill_diagonal(gap, np.nan)  # c = a is never a conditioning node of (a, b)
         self._rows = np.stack([self.sigma, gap])  # the rows level_one gathers
+        self._level_two: LevelTwoTable | None = None
         self._memo: dict[tuple[int, int], dict[tuple[int, ...], float]] = {}
         self._filled: set[tuple[int, int]] = set()  # (node, level) blocks already filled
 
     def batch(self, a: int, b: int, conds: Sequence[tuple[int, ...]]) -> list[float]:
         """r(a, b | S) for each S in ``conds``; needs a < b, each S sorted, all of one size."""
         if not conds[0]:
-            return [self.marginal[a][b]] * len(conds)
+            return [float(self.marginal[a, b])] * len(conds)
         known = self._memo.setdefault((a, b), {})
         try:
             return [known[c] for c in conds]
@@ -152,6 +198,32 @@ class PartialCorrelations:
                 nonpd[i] = sum(1 << c for c in np.flatnonzero(~ok[i]).tolist() if c not in pairs[i])
         return table, nonpd
 
+    def level_two(self, adj: Sequence[int]) -> LevelTwoTable:
+        """The level-2 table of the adjacency bitmasks ``adj``.  The one built last serves while each
+        adj[a] lies inside its own, since a walk asks no set outside a's current neighbours; else
+        one ``partial_corr_batch`` call computes a new one, its index gathered per degree."""
+        old = self._level_two
+        if old is not None and all(x & ~y == 0 for x, y in zip(adj, old.adj)):
+            return old
+        nbrs = [_bits(m) for m in adj]
+        deg = [len(x) for x in nbrs]
+        start, width = [0] * len(adj), [(k - 1) * (k - 2) // 2 for k in deg]
+        blocks, rows = [np.zeros((0, 4), np.intp)], 0
+        for k in sorted({k for k in deg if k >= 3}):
+            nodes = [a for a, x in enumerate(deg) if x == k]
+            pattern = _level_two_pattern(k)
+            for a in nodes:
+                start[a], rows = rows, rows + len(pattern)
+            c, d, b = np.array([nbrs[a] for a in nodes])[:, pattern].transpose(2, 0, 1)  # each (node, row)
+            a = np.array(nodes)[:, None]
+            blocks.append(np.stack([c, d, np.minimum(a, b), np.maximum(a, b)], 2).reshape(-1, 4))
+        idx = np.concatenate(blocks)
+        abs_r = np.abs(partial_corr_batch(self.sigma, idx))
+        nonpd = np.flatnonzero(np.isnan(abs_r)).tolist()
+        cs, ds = idx[:, 0].tolist(), idx[:, 1].tolist()
+        self._level_two = LevelTwoTable(list(adj), start, width, cs, ds, abs_r, nonpd)
+        return self._level_two
+
     def _compute(self, asked: list[tuple[int, int, list[tuple[int, ...]]]]) -> None:
         """Run the kernel once over every (a, b, missing sets), all sets of one size, and memoise."""
         rows = [c + (a, b) for a, b, missing in asked for c in missing]
@@ -171,7 +243,7 @@ def _checked_query(p: int, u: int, v: int, s: Iterable[int]) -> tuple[int, int, 
 
 
 def partial_corr_inverse(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:
-    """r(u, v | S) from ``partial_corr_batch``: the entry, the first-order closed form, or Cholesky.
+    """r(u, v | S) from ``partial_corr_batch``: the entry, a closed form for |S| <= 2, or Cholesky.
 
     Raises :class:`NotPositiveDefiniteError`, carrying the index set, when the
     (S, u, v) submatrix is not positive definite; no regularization is applied.

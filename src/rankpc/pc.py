@@ -10,7 +10,8 @@ variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
+from operator import not_
 
 from .citest import CiDecider
 from .graph import (
@@ -72,21 +73,15 @@ def pc_skeleton(
     At level l >= 1, each still-adjacent pair (u, v) is tested against every
     size-l subset of adj(u) - {v}, then of adj(v) - {u}, until some query
     reports independence; the first separating set found is recorded, and
-    ``tests_run`` counts the subsets up to the first independent one.  At
-    level 1 the decider may answer every pair at the start of the level, as
-    bitmasks from ``level_one_masks(pairs)``; otherwise each (pair,
-    direction, level) is one ``decider.first_independent`` call.  Pairs
+    ``tests_run`` counts the subsets up to the first independent one.  Pairs
     are processed in lexicographic order and candidate subsets in
     lexicographic order over the sorted neighbor list, so runs are
     deterministic.  By default adjacency sets shrink as edges fall during a
     level (the classic order-dependent behavior); ``stable=True`` freezes the
-    neighbor lists at the start of each level instead.
-
-    At levels >= 2, the pairs (u, w > u) of one node u come one after
-    another: u's block.  Its first pair calls
-    ``decider.prefetch_block(u, adj(u), level)``.  A removal inside the
-    block only drops neighbors, so every direction-u subset list the walk
-    then asks is that announced one, filtered.
+    neighbor lists at the start of each level instead.  Adjacency is one
+    bitmask per node.  At level 1 the decider may answer every pair at the
+    start of the level, as bitmasks from ``level_one_masks(pairs)``; above
+    it, ``decider.separator_finder(adj, level)`` answers each direction.
 
     The level ceiling is the smallest of ``max_cond`` and the decider's own
     ``max_cond_size``, when given.
@@ -100,65 +95,51 @@ def pc_skeleton(
     pairs = list(combinations(range(p), 2))
     if not pairs or (ceiling is not None and ceiling < 0):
         return SkeletonResult(p, set(pairs), {}, 0, -1)
-    # nbrs[x] is the sorted list of x's neighbours: the pairs are visited in
-    # lexicographic order, so each list is appended to in increasing order.
-    nbrs: list[list[int]] = [[] for _ in range(p)]
-    sepsets: dict[tuple[int, int], tuple[int, ...]] = {}
-    tests_run = 0
-    for (u, v), independent in zip(pairs, decider.marginally_independent(pairs)):
-        if independent:
-            tests_run += 1
-            sepsets[(u, v)] = ()
-        else:
-            tests_run += 2
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+    independent = decider.marginally_independent(p)
+    sepsets: dict[tuple[int, int], tuple[int, ...]] = dict.fromkeys(compress(pairs, independent), ())
+    pairs = list(compress(pairs, map(not_, independent)))  # then each level's: the last's still adjacent
+    adj = [0] * p
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    tests_run = len(sepsets) + 2 * len(pairs)
     max_used = 0
-    if (ceiling is None or ceiling >= 1) and max(map(len, nbrs)) > 1:
-        tests_run += _level_one(decider, nbrs, sepsets, stable)
+    if (ceiling is None or ceiling >= 1) and max(map(int.bit_count, adj)) > 1:
+        tests_run += _level_one(decider, pairs, adj, sepsets, stable)
         max_used = 1  # the first pair walked with a neighbour to spare asks a query
     level = 2
     while ceiling is None or level <= ceiling:
-        if max(map(len, nbrs)) <= level:
+        if max(map(int.bit_count, adj)) <= level:
             break
-        pairs = [(u, v) for u in range(p) for v in nbrs[u] if u < v]
-        frozen = [list(x) for x in nbrs] if stable else nbrs
-        block = -1
+        pairs = [(u, v) for u, v in pairs if adj[u] >> v & 1]
+        frozen = adj.copy() if stable else adj
+        find = decider.separator_finder(frozen, level)
         for u, v in pairs:
-            if u != block and len(frozen[u]) > level:
-                decider.prefetch_block(u, frozen[u], level)
-            block = u
             for a, b in ((u, v), (v, u)):
-                if len(frozen[a]) <= level:
+                cand = frozen[a] & ~(1 << b)  # b is in frozen[a], whether frozen or not
+                if cand.bit_count() < level:
                     continue
-                cands = frozen[a].copy()  # b is in it, whether frozen or not
-                cands.remove(b)
-                subsets = list(combinations(cands, level))
                 max_used = level
-                i = decider.first_independent(u, v, subsets)
-                if i is None:
-                    tests_run += len(subsets)
-                    continue
-                tests_run += i + 1
-                nbrs[u].remove(v)
-                nbrs[v].remove(u)
-                sepsets[(u, v)] = subsets[i]
-                break
+                asked, sep = find(a, b, cand)
+                tests_run += asked
+                if sep is not None:
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+                    sepsets[(u, v)] = sep
+                    break
         level += 1
-    edges = {(u, v) for u in range(p) for v in nbrs[u] if u < v}
+    edges = {(u, v) for u, v in pairs if adj[u] >> v & 1}
     return SkeletonResult(p, edges, sepsets, tests_run, max_used)
 
 
-def _level_one(decider: CiDecider, nbrs: list[list[int]], sepsets: dict, stable: bool) -> int:
-    """Level 1 of :func:`pc_skeleton` on bitmasks; updates ``nbrs`` and ``sepsets``, returns tests run.
+def _level_one(decider: CiDecider, pairs: list, adj: list[int], sepsets: dict, stable: bool) -> int:
+    """Level 1 of :func:`pc_skeleton` over the adjacent ``pairs``; updates the bitmasks ``adj`` and
+    ``sepsets``, returns tests run.
 
     Direction a of pair (u, v) asks each c in ``cand = adj(a) - {b}`` from the lowest up: the
     separator is the lowest bit of ``sep & cand``, and each non-PD bit below it is warned.  A
     decider without masks is asked ``first_independent(u, v, [(c,) for c in cand])``.
     """
-    p = len(nbrs)
-    pairs = [(u, v) for u in range(p) for v in nbrs[u] if u < v]
-    adj = [sum(1 << x for x in xs) for xs in nbrs]
     frozen = adj.copy() if stable else adj
     masks = decider.level_one_masks(pairs)
     tests = 0
@@ -181,8 +162,6 @@ def _level_one(decider: CiDecider, nbrs: list[list[int]], sepsets: dict, stable:
             if low:
                 adj[u] ^= 1 << v
                 adj[v] ^= 1 << u
-                nbrs[u].remove(v)
-                nbrs[v].remove(u)
                 sepsets[(u, v)] = (low.bit_length() - 1,)
                 break
     return tests

@@ -107,7 +107,7 @@ def test_rank_decider_threshold_variant():
     g1 = abs(partials.batch(0, 1, [(2,)])[0])
     for gamma, independent in ((g0, True), (float(np.nextafter(g0, 0.0)), False)):
         dec = RankCiDecider(sigma, 50, TestConfig("threshold", gamma=gamma))
-        assert dec.marginally_independent([(0, 1)]) == [independent]
+        assert dec.marginally_independent(3)[0] is independent  # pair (0, 1)
         assert dec.decide(0, 1, ()) is independent
     for gamma, first in ((g1, 0), (float(np.nextafter(g1, 0.0)), None)):
         dec = RankCiDecider(sigma, 50, TestConfig("threshold", gamma=gamma))
@@ -246,6 +246,51 @@ def test_level_one_table_holds_kernel_values_without_cholesky(monkeypatch):
         assert [math.isnan(x) if a == b else x == sigma[a, b] for b, x in enumerate(partials.marginal[a])] == [True] * 8
 
 
+def test_level_two_table_rows_are_kernel_values(monkeypatch):
+    sigma = random_correlation(np.random.default_rng(37), 8)
+    sigma[:3, :3] = NONPD_BLOCK
+    cholesky = []
+    factor = _umath_linalg.cholesky_lo
+
+    def counted(mats, **kwargs):
+        cholesky.append(len(mats))
+        return factor(mats, **kwargs)
+
+    monkeypatch.setattr(_umath_linalg, "cholesky_lo", counted)
+    partials = PartialCorrelations(sigma)
+    edges = [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 6), (2, 4), (2, 7), (3, 4), (5, 6)]
+    adj = [sum(1 << v for e in edges for u, v in (e, e[::-1]) if u == a) for a in range(8)]
+    table = partials.level_two(adj)
+    assert cholesky == []  # r(a, b | c, d) is a closed form
+    rows = 0
+    for a in range(8):
+        nbrs = [v for v in range(8) if adj[a] >> v & 1]
+        if len(nbrs) < 3:
+            continue
+        for i, b in enumerate(nbrs):
+            sets = list(combinations([x for x in nbrs if x != b], 2))  # lexicographic
+            lo = table.start[a] + i * table.width[a]
+            assert table.width[a] == len(sets) and list(zip(table.c[lo:], table.d[lo:]))[: len(sets)] == sets
+            want = np.abs(rankpc.partial.partial_corr_batch(sigma, np.array([s + (min(a, b), max(a, b)) for s in sets])))
+            assert table.abs_r[lo : lo + len(sets)].tobytes() == want.tobytes()  # bitwise, NaN included
+            for (c, d), r in zip(sets, want):
+                assert math.isnan(r) == math.isnan(halving_partial_corr_batch(sigma, np.array([[c, d, a, b]]))[0])
+                assert math.isnan(r) or r == abs(partial_corr_recursive(sigma, a, b, [c, d]))
+            rows += len(sets)
+    assert len(table.abs_r) == rows
+    assert table.nonpd == np.flatnonzero(np.isnan(table.abs_r)).tolist() and table.nonpd  # the non-PD block
+    cholesky.clear()  # the halving kernel's
+    inside = adj.copy()
+    inside[1] &= ~(1 << 3)
+    inside[3] &= ~(1 << 1)
+    assert partials.level_two(inside) is table  # a walk inside the cached adjacency reads it
+    outside = adj.copy()
+    outside[3] |= 1 << 6
+    outside[6] |= 1 << 3
+    assert partials.level_two(outside) is not table
+    assert cholesky == []
+
+
 def test_rank_decider_nonpd_submatrix_is_dependent_with_warning():
     dec = RankCiDecider(NONPD_BLOCK, 100, TestConfig("fisher_z", alpha=0.05))
     assert not dec.decide(0, 1, (2,))
@@ -299,12 +344,6 @@ def test_marginally_independent_matches_base_loop(seed, p, degenerate, variant, 
         sigma[:3, :3] = NONPD_BLOCK
     elif degenerate == "unit":
         sigma[0, 1] = sigma[1, 0] = 1.0
-    # either order of a pair, since the base class sorts it before asking
-    pairs = [
-        (u, v) if rng.random() < 0.5 else (v, u)
-        for u, v in combinations(range(p), 2)
-        if rng.random() < 0.7
-    ]
     partials = PartialCorrelations(sigma)
     if variant == "fisher_z":
         config = TestConfig("fisher_z", alpha=10.0 ** (-7.0 * cutoff - 0.5))
@@ -316,16 +355,17 @@ def test_marginally_independent_matches_base_loop(seed, p, degenerate, variant, 
     batched = RankCiDecider(sigma, n, config)
     looped = RankCiDecider(sigma, n, config)
     for _ in range(2):
-        want = CiDecider.marginally_independent(looped, pairs)
-        assert batched.marginally_independent(pairs) == want
-        assert batched.warnings == looped.warnings
+        assert batched.marginally_independent(p) == CiDecider.marginally_independent(looped, p)
+        assert batched.warnings == looped.warnings  # a NaN pair warned twice, in pair order
+    with pytest.raises(ValueError):
+        batched.marginally_independent(p - 1)
 
 
 def test_marginally_independent_reads_either_pair_order():
     sigma = np.array([[1.0, 0.05, 0.6], [0.05, 1.0, 0.2], [0.6, 0.2, 1.0]])
     dec = RankCiDecider(sigma, 100, TestConfig("fisher_z", alpha=0.05))
     assert dec.decide(1, 0, ())
-    assert dec.marginally_independent([(1, 0), (0, 1), (2, 0)]) == [True, True, False]
+    assert dec.marginally_independent(3) == [True, False, False]  # pairs (0, 1), (0, 2), (1, 2)
     assert dec.warnings == []
 
 

@@ -135,7 +135,7 @@ def test_partial_corr_batch_matches_halving_kernel(seed, p, size, degenerate):
     idx = np.array(rows)[keep]
     got = partial_corr_batch(sigma, idx)
     want = halving_partial_corr_batch(sigma, idx)
-    if size <= 1:  # closed forms: NaN where the Cholesky kernel's is, else the recursion's arithmetic
+    if size <= 2:  # closed forms: NaN where the Cholesky kernel's is, else the recursion's arithmetic
         assert np.array_equal(np.isnan(got), np.isnan(want))
         for (*s, a, b), r in zip(idx.tolist(), got.tolist()):
             assert math.isnan(r) or r == partial_corr_recursive(sigma, a, b, s)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from hypothesis import given, settings, strategies as st
 
 import rankpc.partial
@@ -127,10 +128,11 @@ def test_skeleton_matches_naive_oracle(kind, seed, p, degenerate, n, cutoff, sta
 
 
 class UnprefetchedDecider(RankCiDecider):
-    """The rank decider without the level-1 sweep or block prefetch: each memo miss is its own query."""
+    """The rank decider without the level-1 and level-2 tables or the block fill: from level 1 up,
+    one ``first_independent`` call per (pair, direction, level), each memo miss its own query."""
 
     level_one_masks = CiDecider.level_one_masks
-    prefetch_block = CiDecider.prefetch_block
+    separator_finder = CiDecider.separator_finder
 
 
 @pytest.mark.parametrize("stable", [False, True])
@@ -178,9 +180,10 @@ def test_level_one_warns_only_below_the_separator():
     variant=st.sampled_from(["fisher_z", "threshold"]),
     n=st.integers(20, 1000),
     cutoff=st.floats(0.0, 1.0),
+    max_cond=st.sampled_from([None, 1, 2, 3]),
 )
-def test_closed_form_levels_match_per_query_decider(seed, p, degenerate, variant, n, cutoff):
-    # levels 0 and 1 answered in bulk from the marginal table and the level-1 table, against
+def test_closed_form_levels_match_per_query_decider(seed, p, degenerate, variant, n, cutoff, max_cond):
+    # levels 0 to 2 answered in bulk from the marginal, level-1 and level-2 tables, against
     # one memo query per (pair, direction, level), on matrices with non-PD and unit submatrices
     rng = np.random.default_rng(seed)
     sigma = random_correlation(rng, p)
@@ -195,8 +198,8 @@ def test_closed_form_levels_match_per_query_decider(seed, p, degenerate, variant
     else:
         config = TestConfig("threshold", gamma=cutoff)
     for stable in (False, True):
-        got = run_pc(RankCiDecider(sigma, n, config), p, stable=stable)
-        assert got == run_pc(UnprefetchedDecider(sigma, n, config), p, stable=stable)
+        got = run_pc(RankCiDecider(sigma, n, config), p, max_cond=max_cond, stable=stable)
+        assert got == run_pc(UnprefetchedDecider(sigma, n, config), p, max_cond=max_cond, stable=stable)
 
 
 @pytest.mark.parametrize("stable", [False, True])
@@ -210,6 +213,50 @@ def test_sparse_first_shared_memo_matches_fresh_deciders(stable):
         config = TestConfig("fisher_z", alpha=alpha)
         shared = run_pc(RankCiDecider(partials, 60, config), 12, stable=stable)
         assert shared == run_pc(RankCiDecider(sigma, 60, config), 12, stable=stable)
+
+
+@pytest.mark.parametrize("stable", [False, True])
+def test_shared_level_two_table_reused_and_rebuilt(monkeypatch, stable):
+    # Densest alpha first, each later level-2 graph lies inside the first and reads its table;
+    # sparsest first, denser graphs need new tables.  Levels 0 to 2 factorize nothing.
+    sigma = random_correlation(np.random.default_rng(1), 12)
+    sigma[:3, :3] = NONPD_BLOCK
+    cholesky, built = [], []
+    factor = _umath_linalg.cholesky_lo
+
+    def counted(mats, **kwargs):
+        cholesky.append(mats.shape[-1])
+        return factor(mats, **kwargs)
+
+    level_two = PartialCorrelations.level_two
+
+    def spied(self, adj):
+        old = self._level_two
+        table = level_two(self, adj)
+        if self is partials:
+            built.append(table is not old)
+        return table
+
+    monkeypatch.setattr(_umath_linalg, "cholesky_lo", counted)
+    monkeypatch.setattr(PartialCorrelations, "level_two", spied)
+    alphas = [1e-9, 1e-6, 1e-4, 1e-2, 0.2]
+    for order in (alphas[::-1], alphas):
+        partials = PartialCorrelations(sigma)
+        built.clear()
+        for alpha in order:
+            config = TestConfig("fisher_z", alpha=alpha)
+            shared = run_pc(RankCiDecider(partials, 60, config), 12, stable=stable)
+            assert shared == run_pc(RankCiDecider(sigma, 60, config), 12, stable=stable)
+            assert shared == run_pc(UnprefetchedDecider(sigma, 60, config), 12, stable=stable)
+        assert built[0] and not all(built)  # a build, then a reuse
+        if order == alphas:
+            assert any(built[1:])  # and a rebuild
+        else:
+            assert not any(built[1:])
+    assert cholesky and min(cholesky) >= 5  # |S| >= 3 only
+    cholesky.clear()
+    shallow = run_pc(RankCiDecider(sigma, 60, TestConfig("fisher_z", alpha=0.2)), 12, max_cond=2, stable=stable)
+    assert shallow.max_cond_used == 2 and cholesky == []
 
 
 def test_run_pc_unit_correlation_keeps_the_pair():

@@ -104,7 +104,8 @@ class CiDecider:
     ``marginally_independent(p)`` answers level 0 for every pair at once,
     ``level_one_masks(pairs)`` may answer level 1 as bitmasks, but returns
     None here, and ``separator_finder(adj, level)`` answers each direction
-    of the levels above, here by one ``first_independent`` call.
+    of the levels above, here by one ``first_independent`` call and in
+    ``RankCiDecider`` from one table per level.
     ``max_cond_size`` is the largest usable conditioning-set size (None for
     unbounded); skeleton search will not query beyond it.  Noteworthy events
     are appended to ``warnings``.
@@ -170,13 +171,14 @@ class RankCiDecider(CiDecider):
     raises ``ValueError``.  A submatrix that is not positive definite yields
     a 'dependent' answer and a warning rather than an exception, so a run on
     badly conditioned estimates degrades to keeping edges instead of crashing.
-    Levels 0 to 2 of skeleton search compare a whole table with the level's
+    Each level of skeleton search compares a whole table with the level's
     cutoff: ``marginally_independent`` the marginal entries,
     ``level_one_masks`` the table ``PartialCorrelations.level_one`` computes
-    (``warn_nonpd`` warns for the non-PD c the walk passes), and the level-2
-    ``separator_finder`` the table ``PartialCorrelations.level_two`` keeps,
-    walked row by row over each direction's sets.  Levels above go through
-    ``first_independent`` and the memo, one block of it filled per node.
+    (``warn_nonpd`` warns for the non-PD c the walk passes), and
+    ``separator_finder`` at each level >= 2 the table
+    ``PartialCorrelations.table`` keeps, walked row by row over each
+    direction's sets.  ``decide`` and ``first_independent`` compute their
+    queries in one kernel call.
     """
 
     def __init__(self, sigma, n: int, config: TestConfig):
@@ -239,43 +241,34 @@ class RankCiDecider(CiDecider):
         self.warnings += [self._nonpd_warning(u, v, (c,)) for c in _bits(bits)]
 
     def separator_finder(self, adj: Sequence[int], level: int) -> Finder:
-        """At level 2, reads the rows of the direction in ``PartialCorrelations.level_two(adj)``:
-        the separator is the first row at or below the cutoff with both c and d in ``cand``, and
-        each non-PD row of cand before it is warned.  Above, as in the base class, after
-        ``PartialCorrelations.fill_block`` has computed a node's block of queries at its first
-        direction (a, b > a), in one kernel call."""
-        if level != 2:
-            find, filled = super().separator_finder(adj, level), set()
-
-            def find_filled(a: int, b: int, cand: int) -> tuple[int, tuple | None]:
-                if a < b and a not in filled:
-                    filled.add(a)
-                    self.partials.fill_block(a, _bits(adj[a]), level)
-                return find(a, b, cand)
-
-            return find_filled
-        table = self.partials.level_two(adj)
-        seps = np.flatnonzero(table.abs_r <= self._cutoff(2)).tolist() + [len(table.abs_r)]
-        tadj, start, width, cs, ds, nonpd = table.adj, table.start, table.width, table.c, table.d, table.nonpd
+        """Reads the rows of the direction in ``PartialCorrelations.table(adj, level)``: the separator
+        is the first row at or below the cutoff whose set lies inside ``cand``, and each non-PD row
+        of cand before it is warned.  The count asked is the separator's lexicographic rank among
+        the size-``level`` subsets of cand, from 1, or all of them."""
+        table = self.partials.table(adj, level)
+        seps = np.flatnonzero(table.abs_r <= self._cutoff(level)).tolist() + [len(table.abs_r)]
+        tadj, start, width, sets, nonpd = table.adj, table.start, table.width, table.sets, table.nonpd
 
         def find(a: int, b: int, cand: int) -> tuple[int, tuple | None]:
             lo = start[a] + (tadj[a] & ((1 << b) - 1)).bit_count() * width[a]
-            hi = lo + width[a]
+            hi, out = lo + width[a], ~cand
             i = bisect_left(seps, lo)
-            while seps[i] < hi and not (cand >> cs[seps[i]] & 1 and cand >> ds[seps[i]] & 1):
+            while seps[i] < hi and sets[seps[i]] & out:
                 i += 1
             hit = min(seps[i], hi)
             if nonpd:
                 for j in nonpd[bisect_left(nonpd, lo) : bisect_left(nonpd, hit)]:
-                    if cand >> cs[j] & 1 and cand >> ds[j] & 1:
-                        self.warnings.append(self._nonpd_warning(min(a, b), max(a, b), (cs[j], ds[j])))
+                    if not sets[j] & out:
+                        self.warnings.append(self._nonpd_warning(min(a, b), max(a, b), tuple(_bits(sets[j]))))
             m = cand.bit_count()
             if hit == hi:
-                return m * (m - 1) // 2, None
-            c, d = cs[hit], ds[hit]
-            before_c = (cand & ((1 << c) - 1)).bit_count()
-            before_d = (cand & ((1 << d) - 1)).bit_count()  # c among them
-            return before_c * (2 * m - before_c - 1) // 2 + before_d - before_c, (c, d)
+                return math.comb(m, level), None
+            sep, asked, prev = _bits(sets[hit]), 1, -1
+            for j, c in enumerate(sep):  # the subsets that agree with sep below its j-th node, then go lower
+                pos = (cand & ((1 << c) - 1)).bit_count()
+                asked += math.comb(m - prev - 1, level - j) - math.comb(m - pos, level - j)
+                prev = pos
+            return asked, tuple(sep)
 
         return find
 

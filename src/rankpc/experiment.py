@@ -2,13 +2,14 @@
 
 One replicate draws a random DAG and weights, samples a dataset under the
 configured regime, then runs PC once per (method, alpha) on a correlation
-matrix estimated a single time per method; the alphas share its memoised
-partial correlations.  They run from the largest alpha down: the densest
-fit asks the most queries and fills the memo in large batches, which the
-sparser fits then read.  Records are sorted afterwards, so the order shows
-only in each record's ``runtime_ms``.  Output is a flat records table plus
-a per-cell summary at the best alpha (lowest mean structural distance, ties
-resolved toward the smaller alpha).
+matrix estimated a single time per method; the alphas share its tables
+of partial correlations, one per level of skeleton search.  They run from
+the largest alpha down: the densest fit builds each level's table over the
+most edges, and the sparser fits inside it then read it.  Records are
+sorted afterwards, so the order shows only in each record's
+``runtime_ms``.  Output is a flat records table plus a per-cell summary at
+the best alpha (lowest mean structural distance, ties resolved toward the
+smaller alpha).
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 One engine computes partial correlations: closed forms for conditioning
 sets of size 0, 1 and 2 and a Cholesky factorization for larger ones,
 batched over many sets of one size.  :class:`PartialCorrelations` holds
-them per correlation matrix for the data-driven CI decider: whole tables
-for the first three levels of skeleton search, a memo beyond.  The
+them per correlation matrix for the data-driven CI decider: one whole
+table for each level of skeleton search, kept from level 2 up.  The
 conditioning functionals (smallest nonzero partial correlation, smallest
 submatrix eigenvalue) feed the closed-form bound on the probability that
 rank-based structure learning returns a wrong equivalence class.
@@ -91,29 +91,35 @@ def partial_corr_batch(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return x / np.hypot(x, y)
 
 
-class LevelTwoTable(NamedTuple):
-    """|r(a, b | c, d)| for each direction (a, b) of the adjacency bitmasks ``adj`` with a of
-    degree >= 3, and each c < d among a's other neighbours.
+TABLE_CHUNK = 4096  # rows per kernel call of a table build, which bounds its gathered submatrices
 
-    Direction (a, b) owns ``width[a]`` = C(deg(a) - 1, 2) rows, its sets in lexicographic order,
-    from ``start[a]`` plus ``width[a]`` times the number of a's neighbours below b.  Row i holds
-    the set (``c[i]``, ``d[i]``) and ``abs_r[i]``, NaN where the submatrix is not positive
-    definite; ``nonpd`` lists those rows in ascending order.
+
+class LevelTable(NamedTuple):
+    """|r(a, b | S)| for each direction (a, b) of the adjacency bitmasks ``adj`` with a of degree
+    above the level, and each level-size set S among a's other neighbours.
+
+    Direction (a, b) owns ``width[a]`` = C(deg(a) - 1, level) rows, its sets in lexicographic
+    order, from ``start[a]`` plus ``width[a]`` times the number of a's neighbours below b.  Row i
+    holds the bitmask ``sets[i]`` of its set and ``abs_r[i]``, NaN where the submatrix is not
+    positive definite; ``nonpd`` lists those rows in ascending order.
     """
 
     adj: list[int]
     start: list[int]
     width: list[int]
-    c: list[int]
-    d: list[int]
+    sets: list[int]
     abs_r: np.ndarray
     nonpd: list[int]
 
 
-@lru_cache(maxsize=64)
-def _level_two_pattern(k: int) -> np.ndarray:
-    """Positions (c, d, b) in a sorted list of k neighbours: for each b in turn, each c < d of the rest."""
-    return np.array([(c, d, b) for b in range(k) for c, d in combinations(range(k), 2) if b not in (c, d)])
+@lru_cache(maxsize=32)
+def _level_pattern(k: int, level: int) -> np.ndarray:
+    """Positions (S + (b,)) in a sorted list of k neighbours: for each b in turn, each size-``level``
+    S of the rest in lexicographic order."""
+    rest = np.array(list(combinations(range(k - 1), level)), np.intp)
+    b = np.arange(k)[:, None, None]
+    sets = rest + (rest >= b)  # each position from b up moves one along
+    return np.concatenate([sets, np.broadcast_to(b, (k, len(rest), 1))], 2).reshape(-1, level + 1)
 
 
 class PartialCorrelations:
@@ -126,12 +132,10 @@ class PartialCorrelations:
     diagonal and where |r| >= 1; ``has_nonpd_marginal`` says whether an
     off-diagonal one is NaN, and ``pair_marginal`` holds |r(a, b | {})| for
     the pairs a < b in lexicographic order.  ``level_one`` computes a fit's
-    level-1 table from the rows of sigma and 1 - sigma^2, and ``level_two``
-    the level-2 table, kept for later fits.  ``batch`` reads the memo of
-    r(a, b | S), a < b, that serves larger sets, and ``_compute`` writes it,
-    one kernel call over every set missing on a ``batch`` miss or ahead of a
-    node's block of skeleton-search queries (``fill_block``).  NaN marks a
-    submatrix that is not positive definite.
+    level-1 table from the rows of sigma and 1 - sigma^2, and ``table`` the
+    table of a level >= 2, one kept per level for later fits.  ``batch``
+    computes a list of queries in one kernel call.  NaN marks a submatrix
+    that is not positive definite.
     """
 
     def __init__(self, sigma):
@@ -144,39 +148,15 @@ class PartialCorrelations:
         gap = np.where(np.abs(self.sigma) < 1, 1 - self.sigma * self.sigma, np.nan)
         np.fill_diagonal(gap, np.nan)  # c = a is never a conditioning node of (a, b)
         self._rows = np.stack([self.sigma, gap])  # the rows level_one gathers
-        self._level_two: LevelTwoTable | None = None
-        self._memo: dict[tuple[int, int], dict[tuple[int, ...], float]] = {}
-        self._filled: set[tuple[int, int]] = set()  # (node, level) blocks already filled
+        self._bit = np.array([1 << c for c in range(p)], object)  # a table row's set is a sum of these
+        self._tables: dict[int, LevelTable] = {}
 
     def batch(self, a: int, b: int, conds: Sequence[tuple[int, ...]]) -> list[float]:
-        """r(a, b | S) for each S in ``conds``; needs a < b, each S sorted, all of one size."""
+        """r(a, b | S) for each S in ``conds``: the marginal entry for the empty set, else one
+        ``partial_corr_batch`` call; needs a < b, each S sorted, all of one size."""
         if not conds[0]:
             return [float(self.marginal[a, b])] * len(conds)
-        known = self._memo.setdefault((a, b), {})
-        try:
-            return [known[c] for c in conds]
-        except KeyError:
-            self._compute([(a, b, [c for c in conds if c not in known])])
-            return [known[c] for c in conds]
-
-    def fill_block(self, u: int, adj: Sequence[int], level: int) -> None:
-        """One kernel call for each missing r(u, w | S), w > u in sorted ``adj``, S in adj - {w}.
-
-        |S| = ``level``: these are the direction-u queries of u's block in
-        skeleton search.  Each (u, level) is filled once per instance;
-        ``batch`` computes what a later fit on the matrix misses.
-        """
-        if (u, level) in self._filled:
-            return
-        self._filled.add((u, level))
-        asked = []
-        for w in adj:
-            if w > u:
-                known = self._memo.setdefault((u, w), {})
-                subsets = combinations([x for x in adj if x != w], level)
-                asked.append((u, w, [c for c in subsets if c not in known]))
-        if any(missing for _, _, missing in asked):
-            self._compute(asked)
+        return partial_corr_batch(self.sigma, np.array([c + (a, b) for c in conds])).tolist()
 
     def level_one(self, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
         """|r(a, b | c)| at [i, c] for the i-th pair (a, b), a < b, of ``pairs`` and every node c, bitwise
@@ -198,39 +178,35 @@ class PartialCorrelations:
                 nonpd[i] = sum(1 << c for c in np.flatnonzero(~ok[i]).tolist() if c not in pairs[i])
         return table, nonpd
 
-    def level_two(self, adj: Sequence[int]) -> LevelTwoTable:
-        """The level-2 table of the adjacency bitmasks ``adj``.  The one built last serves while each
-        adj[a] lies inside its own, since a walk asks no set outside a's current neighbours; else
-        one ``partial_corr_batch`` call computes a new one, its index gathered per degree."""
-        old = self._level_two
+    def table(self, adj: Sequence[int], level: int) -> LevelTable:
+        """The table of level ``level`` >= 2 over the adjacency bitmasks ``adj``.  The one kept for
+        the level serves while each adj[a] lies inside its own, since a walk asks no set outside a's
+        current neighbours; else a new one is computed, its index gathered per degree and run
+        through ``partial_corr_batch`` in calls of at most ``TABLE_CHUNK`` rows."""
+        old = self._tables.get(level)
         if old is not None and all(x & ~y == 0 for x, y in zip(adj, old.adj)):
             return old
-        nbrs = [_bits(m) for m in adj]
-        deg = [len(x) for x in nbrs]
-        start, width = [0] * len(adj), [(k - 1) * (k - 2) // 2 for k in deg]
-        blocks, rows = [np.zeros((0, 4), np.intp)], 0
-        for k in sorted({k for k in deg if k >= 3}):
+        deg = [m.bit_count() for m in adj]
+        start, width = [0] * len(adj), [math.comb(k - 1, level) if k > level else 0 for k in deg]
+        blocks, rows = [np.zeros((0, level + 2), np.intp)], 0
+        for k in sorted({k for k in deg if k > level}):
             nodes = [a for a, x in enumerate(deg) if x == k]
-            pattern = _level_two_pattern(k)
+            pattern = _level_pattern(k, level)
             for a in nodes:
                 start[a], rows = rows, rows + len(pattern)
-            c, d, b = np.array([nbrs[a] for a in nodes])[:, pattern].transpose(2, 0, 1)  # each (node, row)
-            a = np.array(nodes)[:, None]
-            blocks.append(np.stack([c, d, np.minimum(a, b), np.maximum(a, b)], 2).reshape(-1, 4))
+            at = np.array([_bits(adj[a]) for a in nodes])[:, pattern]  # (node, row, S + (b,))
+            a, b = np.array(nodes)[:, None], at[:, :, -1]
+            high = np.maximum(a, b)[:, :, None]
+            np.minimum(a, b, out=b)  # the rows (S, min(a, b), max(a, b))
+            blocks.append(np.concatenate([at, high], 2).reshape(-1, level + 2))
         idx = np.concatenate(blocks)
-        abs_r = np.abs(partial_corr_batch(self.sigma, idx))
-        nonpd = np.flatnonzero(np.isnan(abs_r)).tolist()
-        cs, ds = idx[:, 0].tolist(), idx[:, 1].tolist()
-        self._level_two = LevelTwoTable(list(adj), start, width, cs, ds, abs_r, nonpd)
-        return self._level_two
-
-    def _compute(self, asked: list[tuple[int, int, list[tuple[int, ...]]]]) -> None:
-        """Run the kernel once over every (a, b, missing sets), all sets of one size, and memoise."""
-        rows = [c + (a, b) for a, b, missing in asked for c in missing]
-        idx = np.fromiter(chain.from_iterable(rows), np.intp, len(rows) * len(rows[0]))
-        values = iter(partial_corr_batch(self.sigma, idx.reshape(len(rows), -1)).tolist())
-        for a, b, missing in asked:
-            self._memo[a, b].update(zip(missing, values))  # zip stops at the end of missing
+        abs_r = np.empty(len(idx))
+        for i in range(0, len(idx), TABLE_CHUNK):
+            abs_r[i : i + TABLE_CHUNK] = partial_corr_batch(self.sigma, idx[i : i + TABLE_CHUNK])
+        np.abs(abs_r, out=abs_r)
+        sets = self._bit[idx[:, :level]].sum(1).tolist()
+        self._tables[level] = LevelTable(list(adj), start, width, sets, abs_r, np.flatnonzero(np.isnan(abs_r)).tolist())
+        return self._tables[level]
 
 
 def _checked_query(p: int, u: int, v: int, s: Iterable[int]) -> tuple[int, int, tuple[int, ...]]:

@@ -105,6 +105,7 @@ def test_rank_decider_threshold_variant():
     partials = PartialCorrelations(sigma)
     g0 = abs(partials.marginal[0][1])
     g1 = abs(partials.batch(0, 1, [(2,)])[0])
+    assert partials.batch(0, 1, [()]) == [partials.marginal[0][1]]  # level 0 reads the entry
     for gamma, independent in ((g0, True), (float(np.nextafter(g0, 0.0)), False)):
         dec = RankCiDecider(sigma, 50, TestConfig("threshold", gamma=gamma))
         assert dec.marginally_independent(3)[0] is independent  # pair (0, 1)
@@ -159,49 +160,6 @@ def test_decide_checks_its_nodes(query):
         assert dec.warnings == []
 
 
-def test_partials_memo_runs_the_kernel_once_per_query(monkeypatch):
-    sigma = random_correlation(np.random.default_rng(83), 6)
-    partials = PartialCorrelations(sigma)
-    calls = []
-    kernel = rankpc.partial.partial_corr_batch
-
-    def counted(mat, idx):
-        calls.append(idx.tolist())
-        return kernel(mat, idx)
-
-    monkeypatch.setattr(rankpc.partial, "partial_corr_batch", counted)
-    subsets = list(combinations(range(2, 6), 2))
-    first = partials.batch(0, 1, subsets[:4])
-    assert calls == [[list(s) + [0, 1] for s in subsets[:4]]]  # a miss: one call for every set
-    assert partials.batch(0, 1, subsets[:4]) == first  # a hit: no call
-    assert partials.batch(0, 1, subsets[2:4] + subsets[:2]) == first[2:] + first[:2]
-    assert partials.batch(0, 1, [()]) == [partials.marginal[0][1]]  # level 0: no call
-    assert len(calls) == 1
-    first = partials.batch(0, 1, subsets)
-    assert calls[1:] == [[list(s) + [0, 1] for s in subsets[4:]]]  # only the sets not asked before
-    assert partials.batch(0, 1, subsets) == first
-    singles = [(1,), (3,), (4,), (5,)]
-    one, two = (RankCiDecider(partials, 100, TestConfig("fisher_z", alpha=a)) for a in (0.05, 1e-3))
-    fresh = RankCiDecider(sigma, 100, TestConfig("fisher_z", alpha=1e-3))
-    calls.clear()
-    one.first_independent(2, 0, singles)
-    assert two.first_independent(2, 0, singles) == fresh.first_independent(2, 0, singles)
-    assert calls == [[[w, 0, 2] for (w,) in singles]] * 2  # ``one``'s miss and ``fresh``'s; ``two`` hit
-    calls.clear()
-    partials.batch(1, 3, [(4, 5)])
-    adj = [0, 3, 4, 5]
-    block = {w: list(combinations([x for x in adj if x != w], 2)) for w in adj if w > 1}
-    partials.fill_block(1, adj, 2)  # node 1's pairs (1, w > 1), each over the 2-subsets of adj - {w}
-    assert calls[1:] == [[list(s) + [1, w] for w, subsets in block.items() for s in subsets if (w, s) != (3, (4, 5))]]
-    partials.fill_block(1, adj, 2)  # the same (node, level) again: no call
-    got = {w: partials.batch(1, w, subsets) for w, subsets in block.items()}  # the block's queries: hits
-    assert len(calls) == 2
-    partials.batch(1, 3, [(0, 2), (0, 4)])  # outside the block: one call for the one new set
-    assert calls[2:] == [[[0, 2, 1, 3]]]
-    for w, subsets in block.items():  # a block row equals the same row computed alone
-        assert got[w] == [kernel(sigma, np.array([s + (1, w)]))[0] for s in subsets]
-
-
 NONPD_BLOCK = np.array(
     [
         [1.0, 0.9, -0.9],
@@ -246,49 +204,70 @@ def test_level_one_table_holds_kernel_values_without_cholesky(monkeypatch):
         assert [math.isnan(x) if a == b else x == sigma[a, b] for b, x in enumerate(partials.marginal[a])] == [True] * 8
 
 
-def test_level_two_table_rows_are_kernel_values(monkeypatch):
-    sigma = random_correlation(np.random.default_rng(37), 8)
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_level_table_rows_are_kernel_values(monkeypatch, level):
+    sigma = random_correlation(np.random.default_rng(37), 9)
     sigma[:3, :3] = NONPD_BLOCK
-    cholesky = []
-    factor = _umath_linalg.cholesky_lo
+    cholesky, calls = [], []
+    factor, kernel = _umath_linalg.cholesky_lo, rankpc.partial.partial_corr_batch
 
     def counted(mats, **kwargs):
         cholesky.append(len(mats))
         return factor(mats, **kwargs)
 
+    def counted_kernel(mat, idx):
+        calls.append(len(idx))
+        return kernel(mat, idx)
+
     monkeypatch.setattr(_umath_linalg, "cholesky_lo", counted)
+    monkeypatch.setattr(rankpc.partial, "partial_corr_batch", counted_kernel)
     partials = PartialCorrelations(sigma)
-    edges = [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 6), (2, 4), (2, 7), (3, 4), (5, 6)]
-    adj = [sum(1 << v for e in edges for u, v in (e, e[::-1]) if u == a) for a in range(8)]
-    table = partials.level_two(adj)
-    assert cholesky == []  # r(a, b | c, d) is a closed form
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 7)]
+    edges += [(1, 8), (2, 4), (2, 5), (2, 8), (3, 4), (3, 6), (4, 7), (5, 6), (6, 7)]  # degrees 6, 5, 5, 4, ...
+    adj = [sum(1 << v for e in edges for u, v in (e, e[::-1]) if u == a) for a in range(9)]
+    table = partials.table(adj, level)
+    assert (cholesky == []) == (level == 2)  # r(a, b | c, d) is a closed form
     rows = 0
-    for a in range(8):
-        nbrs = [v for v in range(8) if adj[a] >> v & 1]
-        if len(nbrs) < 3:
+    for a in range(9):
+        nbrs = [v for v in range(9) if adj[a] >> v & 1]
+        if len(nbrs) <= level:
             continue
         for i, b in enumerate(nbrs):
-            sets = list(combinations([x for x in nbrs if x != b], 2))  # lexicographic
+            sets = list(combinations([x for x in nbrs if x != b], level))  # lexicographic
             lo = table.start[a] + i * table.width[a]
-            assert table.width[a] == len(sets) and list(zip(table.c[lo:], table.d[lo:]))[: len(sets)] == sets
-            want = np.abs(rankpc.partial.partial_corr_batch(sigma, np.array([s + (min(a, b), max(a, b)) for s in sets])))
+            assert table.width[a] == len(sets)
+            assert table.sets[lo : lo + len(sets)] == [sum(1 << c for c in s) for s in sets]
+            want = np.abs(kernel(sigma, np.array([s + (min(a, b), max(a, b)) for s in sets])))
             assert table.abs_r[lo : lo + len(sets)].tobytes() == want.tobytes()  # bitwise, NaN included
-            for (c, d), r in zip(sets, want):
-                assert math.isnan(r) == math.isnan(halving_partial_corr_batch(sigma, np.array([[c, d, a, b]]))[0])
-                assert math.isnan(r) or r == abs(partial_corr_recursive(sigma, a, b, [c, d]))
+            for s, r in zip(sets, want):
+                assert math.isnan(r) == math.isnan(halving_partial_corr_batch(sigma, np.array([s + (a, b)]))[0])
+                if not math.isnan(r):
+                    rec = abs(partial_corr_recursive(sigma, a, b, s))
+                    assert r == (rec if level == 2 else pytest.approx(rec, abs=1e-12))
             rows += len(sets)
-    assert len(table.abs_r) == rows
+    assert len(table.abs_r) == len(table.sets) == rows and calls == [rows]
     assert table.nonpd == np.flatnonzero(np.isnan(table.abs_r)).tolist() and table.nonpd  # the non-PD block
     cholesky.clear()  # the halving kernel's
     inside = adj.copy()
     inside[1] &= ~(1 << 3)
     inside[3] &= ~(1 << 1)
-    assert partials.level_two(inside) is table  # a walk inside the cached adjacency reads it
+    assert partials.table(inside, level) is table  # a walk inside the kept adjacency reads it
     outside = adj.copy()
-    outside[3] |= 1 << 6
-    outside[6] |= 1 << 3
-    assert partials.level_two(outside) is not table
-    assert cholesky == []
+    outside[3] |= 1 << 5
+    outside[5] |= 1 << 3
+    assert partials.table(outside, level) is not table
+    assert calls == [rows, len(partials.table(outside, level).abs_r)] and (cholesky == []) == (level == 2)
+    calls.clear()
+    complete = PartialCorrelations(random_correlation(np.random.default_rng(41), 13)).table(
+        [(1 << 13) - 1 - (1 << a) for a in range(13)], level
+    )
+    big = len(complete.abs_r)  # 13 * 12 * C(11, level) rows, more than 4,096
+    assert calls == [4096] * (big // 4096) + [big % 4096] * (big % 4096 > 0)
+    monkeypatch.setattr(rankpc.partial, "TABLE_CHUNK", 7)
+    calls.clear()
+    chunked = PartialCorrelations(sigma).table(adj, level)
+    assert calls == [7] * (rows // 7) + [rows % 7] * (rows % 7 > 0)
+    assert (chunked.abs_r.tobytes(), chunked.sets, chunked.nonpd) == (table.abs_r.tobytes(), table.sets, table.nonpd)
 
 
 def test_rank_decider_nonpd_submatrix_is_dependent_with_warning():
@@ -322,7 +301,7 @@ def test_first_independent_matches_decide_loop(seed, p, level, nonpd, variant, n
         config = TestConfig("threshold", gamma=cutoff)
     batched = RankCiDecider(sigma, n, config)
     looped = RankCiDecider(sigma, n, config)
-    for _ in range(2):  # the second round is answered from the memo
+    for _ in range(2):  # the same queries asked again
         want = CiDecider.first_independent(looped, u, v, subsets)
         assert batched.first_independent(u, v, subsets) == want
         assert batched.warnings == looped.warnings

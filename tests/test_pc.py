@@ -128,8 +128,8 @@ def test_skeleton_matches_naive_oracle(kind, seed, p, degenerate, n, cutoff, sta
 
 
 class UnprefetchedDecider(RankCiDecider):
-    """The rank decider without the level-1 and level-2 tables or the block fill: from level 1 up,
-    one ``first_independent`` call per (pair, direction, level), each memo miss its own query."""
+    """The rank decider without the level-1 mask sweep or the tables of levels >= 2: from level 1
+    up, one ``first_independent`` call per (pair, direction, level), each its own kernel call."""
 
     level_one_masks = CiDecider.level_one_masks
     separator_finder = CiDecider.separator_finder
@@ -148,7 +148,18 @@ def test_block_prefetch_same_result_fewer_kernel_calls(monkeypatch, stable):
         calls.append(len(idx))
         return kernel(mat, idx)
 
+    builds = []  # (kernel calls, rows) of each table build
+    table = PartialCorrelations.table
+
+    def spied(self, adj, level):
+        before = len(calls)
+        built = table(self, adj, level)
+        if len(calls) > before:
+            builds.append((len(calls) - before, len(built.abs_r)))
+        return built
+
     monkeypatch.setattr(rankpc.partial, "partial_corr_batch", counted)
+    monkeypatch.setattr(PartialCorrelations, "table", spied)
 
     def learn(cls):
         calls.clear()
@@ -160,6 +171,8 @@ def test_block_prefetch_same_result_fewer_kernel_calls(monkeypatch, stable):
     assert fast.max_cond_used >= 2
     assert len(fast_calls) <= 0.6 * len(slow_calls)
     assert max(fast_calls) <= 4096
+    assert builds and sum(n for n, _ in builds) == len(fast_calls)  # every kernel call builds a table
+    assert all(n <= -(-rows // 4096) for n, rows in builds)
 
 
 def test_level_one_warns_only_below_the_separator():
@@ -228,17 +241,17 @@ def test_shared_level_two_table_reused_and_rebuilt(monkeypatch, stable):
         cholesky.append(mats.shape[-1])
         return factor(mats, **kwargs)
 
-    level_two = PartialCorrelations.level_two
+    table = PartialCorrelations.table
 
-    def spied(self, adj):
-        old = self._level_two
-        table = level_two(self, adj)
-        if self is partials:
-            built.append(table is not old)
-        return table
+    def spied(self, adj, level):
+        old = self._tables.get(level)
+        got = table(self, adj, level)
+        if self is partials and level == 2:
+            built.append(got is not old)
+        return got
 
     monkeypatch.setattr(_umath_linalg, "cholesky_lo", counted)
-    monkeypatch.setattr(PartialCorrelations, "level_two", spied)
+    monkeypatch.setattr(PartialCorrelations, "table", spied)
     alphas = [1e-9, 1e-6, 1e-4, 1e-2, 0.2]
     for order in (alphas[::-1], alphas):
         partials = PartialCorrelations(sigma)

@@ -13,7 +13,6 @@ import hashlib
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
 from .correlation import Dataset, _finish
@@ -116,9 +115,8 @@ def _implied_raw_covariance(model: SemModel) -> np.ndarray:
     p = model.dag.p
     order = list(model.dag.topological_order())
     w_topo = model.weights[np.ix_(order, order)]  # strictly upper triangular
-    binv = solve_triangular(
-        np.eye(p) - w_topo, np.eye(p), lower=False, unit_diagonal=True
-    )
+    # SciPy ships its own OpenBLAS and thread pool; NumPy's LAPACK keeps the simulator's BLAS in one pool
+    binv = np.linalg.inv(np.eye(p) - w_topo)
     cov_topo = binv.T @ binv
     cov = np.empty((p, p))
     cov[np.ix_(order, order)] = cov_topo
@@ -137,7 +135,7 @@ def implied_covariance(model: SemModel) -> np.ndarray:
 def f11_transform(u):
     """Quantile of the squared standard Cauchy: tan(pi u / 2) ** 2 on (0, 1)."""
     arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
     val = np.tan(np.pi * arr / 2.0) ** 2
     if arr.ndim == 0:

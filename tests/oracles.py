@@ -9,6 +9,7 @@ import math
 from itertools import combinations, permutations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 from rankpc.citest import CiDecider
@@ -215,6 +216,22 @@ def random_dag_edges(rng: np.random.Generator, p: int, s: float) -> Dag:
     """Random DAG with independent edge coin flips, oriented low-to-high."""
     edges = [(u, v) for u, v in combinations(range(p), 2) if rng.random() < s]
     return Dag(p, edges)
+
+
+def triangular_raw_covariance(model) -> np.ndarray:
+    """Covariance of a SEM's solved system under unit-variance noise.
+
+    In topological order I - W is unit upper triangular, so B = (I - W)^-1
+    comes from one triangular solve; the covariance is B^T B, put back in
+    node order.
+    """
+    p = model.dag.p
+    order = list(model.dag.topological_order())
+    w_topo = model.weights[np.ix_(order, order)]
+    binv = solve_triangular(np.eye(p) - w_topo, np.eye(p), lower=False, unit_diagonal=True)
+    cov = np.empty((p, p))
+    cov[np.ix_(order, order)] = binv.T @ binv
+    return cov
 
 
 # Skeleton search with one ``first_independent`` call per (pair, direction,

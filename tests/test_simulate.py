@@ -1,10 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtr
 
-from rankpc.correlation import estimate_correlation_matrix, ranks, validate_correlation_matrix
+from oracles import triangular_raw_covariance
+from rankpc.correlation import (
+    _finish,
+    estimate_correlation_matrix,
+    ranks,
+    validate_correlation_matrix,
+)
 from rankpc.graph import Dag, d_separated
 from rankpc.partial import partial_corr_inverse
 from rankpc.simulate import (
@@ -162,6 +174,41 @@ def test_implied_covariance_needs_normal_noise():
         implied_covariance(model)
 
 
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 40), s=st.floats(0.0, 1.0))
+@example(seed=0, p=40, s=1.0)
+@example(seed=1, p=1, s=1.0)
+def test_implied_covariance_equals_triangular_solve_bitwise(seed, p, s):
+    rng = np.random.default_rng(seed)
+    dag = random_dag(p, s, rng)
+    weights = random_weights(dag, rng)
+    model = SemModel(dag, weights)
+    ref = triangular_raw_covariance(model)
+    sd = np.sqrt(np.diag(ref))
+    assert np.array_equal(implied_covariance(model), _finish(ref / np.outer(sd, sd)))
+    plain = sample_sem(model, 20, np.random.default_rng(seed))
+    warped = sample_sem(SemModel(dag, weights, transform="f11"), 20, np.random.default_rng(seed))
+    assert np.array_equal(warped.values, f11_transform(ndtr(plain.values / sd)))
+
+
+def test_simulation_never_imports_scipy_linalg():
+    # SciPy's OpenBLAS keeps a second thread pool; the simulator must stay on NumPy's BLAS
+    code = (
+        "import sys, numpy as np, rankpc\n"
+        "from rankpc.simulate import SemModel, random_dag, random_weights, sample_sem\n"
+        "rng = np.random.default_rng(0)\n"
+        "dag = random_dag(100, 3.0 / 99.0, rng)\n"
+        "sample_sem(SemModel(dag, random_weights(dag, rng), transform='f11'), 200, rng)\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_sample_correlations_converge_to_implied():
     rng = np.random.default_rng(139)
     dag = random_dag(8, 0.4, rng)
@@ -183,7 +230,7 @@ def test_f11_transform_strictly_increasing_and_bounded_domain():
     vals = f11_transform(grid)
     assert np.all(np.diff(vals) > 0.0)
     assert np.all(vals > 0.0)
-    for bad in (0.0, 1.0, -0.2, 1.3):
+    for bad in (0.0, 1.0, -0.2, 1.3, math.nan):
         with pytest.raises(ValueError):
             f11_transform(bad)
 

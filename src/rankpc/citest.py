@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .correlation import METHODS
-from .graph import Dag, _bits, d_separated
+from .graph import Dag, _bits, _pairs, d_separated
 from .partial import NotPositiveDefiniteError, PartialCorrelations, _checked_query
 
 __all__ = [
@@ -85,12 +86,13 @@ def gamma_threshold(n: int, s_size: int, z: float) -> float:
     return _z_cutoffs(n, z, range(s_size, s_size + 1))[0]
 
 
-def _z_cutoffs(n: int, z: float, sizes: range) -> list[float]:
+@lru_cache(maxsize=64)
+def _z_cutoffs(n: int, z: float, sizes: range) -> tuple[float, ...]:
     """:func:`gamma_threshold` at each size in ``sizes``, each n - size - 3 >= 1; z checked once."""
     if sizes and (z < 0 or not math.isfinite(z)):
         raise ValueError(f"z must be finite and nonnegative, got {z}")
     xs = [z / math.sqrt(n - s - 3) for s in sizes]
-    return [-math.expm1(-x) / (1.0 + math.exp(-x)) for x in xs]
+    return tuple(-math.expm1(-x) / (1.0 + math.exp(-x)) for x in xs)
 
 
 class CiDecider:
@@ -156,7 +158,7 @@ class CiDecider:
         return [
             self.first_independent(u, v, [()]) is not None
             or self.first_independent(u, v, [()]) is not None
-            for u, v in combinations(range(p), 2)
+            for u, v in _pairs(p)
         ]
 
 
@@ -188,7 +190,7 @@ class RankCiDecider(CiDecider):
         if config.variant == "fisher_z":
             self.max_cond_size = n - 4
             z = 2.0 * float(ndtri(1.0 - config.alpha / 2.0))
-            self.cutoffs = _z_cutoffs(n, z, range(min(p, n - 3)))
+            self.cutoffs = list(_z_cutoffs(n, z, range(min(p, n - 3))))
         else:
             self.max_cond_size = None
             self.cutoffs = [config.gamma] * p
@@ -244,26 +246,27 @@ class RankCiDecider(CiDecider):
         """Reads the rows of the direction in ``PartialCorrelations.table(adj, level)``: the separator
         is the first row at or below the cutoff whose set lies inside ``cand``, and each non-PD row
         of cand before it is warned.  The count asked is the separator's lexicographic rank among
-        the size-``level`` subsets of cand, from 1, or all of them."""
+        the size-``level`` subsets of cand, from 1, or all of them.  A row's set becomes a bitmask
+        only to be tested against a cand smaller than the table's neighbours, warned or returned."""
         table = self.partials.table(adj, level)
         seps = np.flatnonzero(table.abs_r <= self._cutoff(level)).tolist() + [len(table.abs_r)]
-        tadj, start, width, sets, nonpd = table.adj, table.start, table.width, table.sets, table.nonpd
+        tadj, start, width, mask, nonpd = table.adj, table.start, table.width, table.mask, table.nonpd
 
         def find(a: int, b: int, cand: int) -> tuple[int, tuple | None]:
             lo = start[a] + (tadj[a] & ((1 << b) - 1)).bit_count() * width[a]
-            hi, out = lo + width[a], ~cand
+            hi, out = lo + width[a], (tadj[a] ^ (1 << b)) & ~cand  # the table's neighbours of a outside cand
             i = bisect_left(seps, lo)
-            while seps[i] < hi and sets[seps[i]] & out:
+            while out and seps[i] < hi and mask(seps[i]) & out:
                 i += 1
             hit = min(seps[i], hi)
             if nonpd:
                 for j in nonpd[bisect_left(nonpd, lo) : bisect_left(nonpd, hit)]:
-                    if not sets[j] & out:
-                        self.warnings.append(self._nonpd_warning(min(a, b), max(a, b), tuple(_bits(sets[j]))))
+                    if not mask(j) & out:
+                        self.warnings.append(self._nonpd_warning(min(a, b), max(a, b), tuple(_bits(mask(j)))))
             m = cand.bit_count()
             if hit == hi:
                 return math.comb(m, level), None
-            sep, asked, prev = _bits(sets[hit]), 1, -1
+            sep, asked, prev = _bits(mask(hit)), 1, -1
             for j, c in enumerate(sep):  # the subsets that agree with sep below its j-th node, then go lower
                 pos = (cand & ((1 << c) - 1)).bit_count()
                 asked += math.comb(m - prev - 1, level - j) - math.comb(m - pos, level - j)

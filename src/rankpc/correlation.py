@@ -197,8 +197,8 @@ def _rank_columns(values: np.ndarray, where: Sequence[str] | None = None) -> np.
     a stable sort meets it: 0.0 and -0.0 tie.
     """
     n, p = values.shape
-    order, cols = np.argsort(values, axis=0), np.arange(p)
-    xs = values[order, cols]
+    flat = np.argsort(values, axis=0) * p + np.arange(p)  # flat index of each column's i-th smallest
+    xs = np.take(values, flat)
     tied = xs[1:] == xs[:-1]
     if tied.any():
         j = int(tied.any(axis=0).argmax())
@@ -206,7 +206,7 @@ def _rank_columns(values: np.ndarray, where: Sequence[str] | None = None) -> np.
         first = col[(col == xs[tied[:, j].argmax(), j]).argmax()]
         raise TieError(float(first), f"column {j}" if where is None else where[j])
     out = np.empty((n, p), dtype=np.int64)
-    out[order, cols] = np.arange(1, n + 1)[:, None]
+    out.reshape(-1)[flat] = np.arange(1, n + 1)[:, None]
     return out
 
 

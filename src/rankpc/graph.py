@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import IntEnum
+from functools import lru_cache
 from itertools import combinations
 from numbers import Integral
 from typing import Iterable, Mapping
@@ -335,6 +336,12 @@ def _set_arrow(states: dict, a: int, b: int) -> None:
         states[(a, b)] = EdgeState.FORWARD
     else:
         states[(b, a)] = EdgeState.BACKWARD
+
+
+@lru_cache(maxsize=8)
+def _pairs(p: int) -> tuple[tuple[int, int], ...]:
+    """The pairs u < v of p nodes in lexicographic order, built once per p."""
+    return tuple(combinations(range(p), 2))
 
 
 def _bits(m: int) -> list[int]:

@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .correlation import validate_correlation_matrix
-from .graph import _bits, node_set
+from .graph import _bits, _pairs, node_set
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -100,16 +100,20 @@ class LevelTable(NamedTuple):
 
     Direction (a, b) owns ``width[a]`` = C(deg(a) - 1, level) rows, its sets in lexicographic
     order, from ``start[a]`` plus ``width[a]`` times the number of a's neighbours below b.  Row i
-    holds the bitmask ``sets[i]`` of its set and ``abs_r[i]``, NaN where the submatrix is not
-    positive definite; ``nonpd`` lists those rows in ascending order.
+    holds its kernel row ``idx[i]`` = S + (min(a, b), max(a, b)) and ``abs_r[i]``, NaN where the
+    submatrix is not positive definite; ``nonpd`` lists those rows in ascending order.
     """
 
     adj: list[int]
     start: list[int]
     width: list[int]
-    sets: list[int]
+    idx: np.ndarray
     abs_r: np.ndarray
     nonpd: list[int]
+
+    def mask(self, i: int) -> int:
+        """The bitmask of row i's set, made on each call."""
+        return sum(1 << c for c in self.idx[i, :-2].tolist())
 
 
 @lru_cache(maxsize=32)
@@ -148,7 +152,6 @@ class PartialCorrelations:
         gap = np.where(np.abs(self.sigma) < 1, 1 - self.sigma * self.sigma, np.nan)
         np.fill_diagonal(gap, np.nan)  # c = a is never a conditioning node of (a, b)
         self._rows = np.stack([self.sigma, gap])  # the rows level_one gathers
-        self._bit = np.array([1 << c for c in range(p)], object)  # a table row's set is a sum of these
         self._tables: dict[int, LevelTable] = {}
 
     def batch(self, a: int, b: int, conds: Sequence[tuple[int, ...]]) -> list[float]:
@@ -189,8 +192,8 @@ class PartialCorrelations:
         deg = [m.bit_count() for m in adj]
         start, width = [0] * len(adj), [math.comb(k - 1, level) if k > level else 0 for k in deg]
         blocks, rows = [np.zeros((0, level + 2), np.intp)], 0
-        for k in sorted({k for k in deg if k > level}):
-            nodes = [a for a, x in enumerate(deg) if x == k]
+        for k, group in groupby(sorted((k, a) for a, k in enumerate(deg) if k > level), lambda ka: ka[0]):
+            nodes = [a for _, a in group]  # the nodes of degree k, ascending
             pattern = _level_pattern(k, level)
             for a in nodes:
                 start[a], rows = rows, rows + len(pattern)
@@ -204,8 +207,7 @@ class PartialCorrelations:
         for i in range(0, len(idx), TABLE_CHUNK):
             abs_r[i : i + TABLE_CHUNK] = partial_corr_batch(self.sigma, idx[i : i + TABLE_CHUNK])
         np.abs(abs_r, out=abs_r)
-        sets = self._bit[idx[:, :level]].sum(1).tolist()
-        self._tables[level] = LevelTable(list(adj), start, width, sets, abs_r, np.flatnonzero(np.isnan(abs_r)).tolist())
+        self._tables[level] = LevelTable(list(adj), start, width, idx, abs_r, np.flatnonzero(np.isnan(abs_r)).tolist())
         return self._tables[level]
 
 
@@ -250,18 +252,17 @@ def min_nonzero_partial_corr(sigma, q: int | None = None):
     if not 2 <= q <= p:
         raise ValueError(f"q must be in 2..{p}, got {q}")
     best = None
-    for u in range(p):
-        for v in range(u + 1, p):
-            others = [w for w in range(p) if w != u and w != v]
-            for size in range(0, q - 1):
-                conds = list(combinations(others, size))
-                vals = np.abs(partial_corr_batch(mat, np.array([c + (u, v) for c in conds])))
-                bad = np.flatnonzero(np.isnan(vals))
-                if bad.size:
-                    raise NotPositiveDefiniteError((u, v) + conds[bad[0]])
-                nonzero = vals[vals > ZERO_TOL]
-                if nonzero.size and (best is None or nonzero.min() < best):
-                    best = float(nonzero.min())
+    for u, v in _pairs(p):
+        others = [w for w in range(p) if w != u and w != v]
+        for size in range(0, q - 1):
+            conds = list(combinations(others, size))
+            vals = np.abs(partial_corr_batch(mat, np.array([c + (u, v) for c in conds])))
+            bad = np.flatnonzero(np.isnan(vals))
+            if bad.size:
+                raise NotPositiveDefiniteError((u, v) + conds[bad[0]])
+            nonzero = vals[vals > ZERO_TOL]
+            if nonzero.size and (best is None or nonzero.min() < best):
+                best = float(nonzero.min())
     return best
 
 

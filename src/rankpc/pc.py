@@ -10,7 +10,7 @@ variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import compress
 from operator import not_
 
 from .citest import CiDecider
@@ -20,6 +20,7 @@ from .graph import (
     _arrow_in,
     _bits,
     _meek_fixpoint,
+    _pairs,
     _set_arrow,
     pdag_to_text,
 )
@@ -92,7 +93,7 @@ def pc_skeleton(
         raise ValueError(f"max_cond must be nonnegative, got {max_cond}")
     caps = [c for c in (max_cond, decider.max_cond_size) if c is not None]
     ceiling = min(caps) if caps else None
-    pairs = list(combinations(range(p), 2))
+    pairs = _pairs(p)
     if not pairs or (ceiling is not None and ceiling < 0):
         return SkeletonResult(p, set(pairs), {}, 0, -1)
     independent = decider.marginally_independent(p)

@@ -10,13 +10,12 @@ standard Cauchy) that preserves ranks while destroying moments.
 from __future__ import annotations
 
 import hashlib
-from itertools import combinations
 
 import numpy as np
 from scipy.special import ndtr
 
 from .correlation import Dataset, _finish
-from .graph import Dag
+from .graph import Dag, _pairs
 
 __all__ = [
     "NOISES",
@@ -87,9 +86,8 @@ def random_dag(p: int, s: float, rng: np.random.Generator) -> Dag:
         raise ValueError(f"edge probability must lie in [0, 1], got {s}")
     if p < 1:
         raise ValueError(f"node count must be positive, got {p}")
-    pairs = list(combinations(range(p), 2))
-    draws = rng.random(len(pairs))
-    return Dag(p, [pair for pair, t in zip(pairs, draws) if t < s])
+    pairs = _pairs(p)
+    return Dag(p, [pairs[i] for i in np.flatnonzero(rng.random(len(pairs)) < s).tolist()])
 
 
 def random_weights(dag: Dag, rng: np.random.Generator) -> np.ndarray:

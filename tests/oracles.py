@@ -218,6 +218,13 @@ def random_dag_edges(rng: np.random.Generator, p: int, s: float) -> Dag:
     return Dag(p, edges)
 
 
+def comprehension_random_dag(p: int, s: float, rng: np.random.Generator) -> Dag:
+    """``random_dag`` as a comprehension over every pair u < v and its own uniform draw."""
+    pairs = list(combinations(range(p), 2))
+    draws = rng.random(len(pairs))
+    return Dag(p, [pair for pair, t in zip(pairs, draws) if t < s])
+
+
 def triangular_raw_covariance(model) -> np.ndarray:
     """Covariance of a SEM's solved system under unit-variance noise.
 

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -236,7 +236,8 @@ def test_level_table_rows_are_kernel_values(monkeypatch, level):
             sets = list(combinations([x for x in nbrs if x != b], level))  # lexicographic
             lo = table.start[a] + i * table.width[a]
             assert table.width[a] == len(sets)
-            assert table.sets[lo : lo + len(sets)] == [sum(1 << c for c in s) for s in sets]
+            assert table.idx[lo : lo + len(sets)].tolist() == [[*s, min(a, b), max(a, b)] for s in sets]
+            assert [table.mask(lo + i) for i in range(len(sets))] == [sum(1 << c for c in s) for s in sets]
             want = np.abs(kernel(sigma, np.array([s + (min(a, b), max(a, b)) for s in sets])))
             assert table.abs_r[lo : lo + len(sets)].tobytes() == want.tobytes()  # bitwise, NaN included
             for s, r in zip(sets, want):
@@ -245,7 +246,7 @@ def test_level_table_rows_are_kernel_values(monkeypatch, level):
                     rec = abs(partial_corr_recursive(sigma, a, b, s))
                     assert r == (rec if level == 2 else pytest.approx(rec, abs=1e-12))
             rows += len(sets)
-    assert len(table.abs_r) == len(table.sets) == rows and calls == [rows]
+    assert len(table.abs_r) == len(table.idx) == rows and calls == [rows]
     assert table.nonpd == np.flatnonzero(np.isnan(table.abs_r)).tolist() and table.nonpd  # the non-PD block
     cholesky.clear()  # the halving kernel's
     inside = adj.copy()
@@ -267,7 +268,33 @@ def test_level_table_rows_are_kernel_values(monkeypatch, level):
     calls.clear()
     chunked = PartialCorrelations(sigma).table(adj, level)
     assert calls == [7] * (rows // 7) + [rows % 7] * (rows % 7 > 0)
-    assert (chunked.abs_r.tobytes(), chunked.sets, chunked.nonpd) == (table.abs_r.tobytes(), table.sets, table.nonpd)
+    assert (chunked.abs_r.tobytes(), chunked.idx.tobytes(), chunked.nonpd) == (
+        table.abs_r.tobytes(),
+        table.idx.tobytes(),
+        table.nonpd,
+    )
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_finder_forms_bitmasks_only_of_rows_at_or_below_its_cutoff_and_nonpd_rows(monkeypatch, level):
+    sigma = random_correlation(np.random.default_rng(37), 9)
+    sigma[:3, :3] = NONPD_BLOCK
+    adj = [(1 << 9) - 1 - (1 << a) for a in range(9)]  # complete
+    partials, asked, mask = PartialCorrelations(sigma), [], rankpc.partial.LevelTable.mask
+    monkeypatch.setattr(rankpc.partial.LevelTable, "mask", lambda self, i: asked.append(i) or mask(self, i))
+    for gamma in (0.02, 0.1):  # the second finder reads the kept table
+        decider = RankCiDecider(partials, 1000, TestConfig("threshold", gamma=gamma))
+        find, ref = decider.separator_finder(adj, level), CiDecider.separator_finder(decider, adj, level)
+        table = partials.table(adj, level)
+        allowed = set(np.flatnonzero(table.abs_r <= gamma).tolist() + table.nonpd)
+        assert asked == [] and table.nonpd and len(allowed) < len(table.abs_r) / 2  # none made up front
+        for a, b in permutations(range(9), 2):
+            for drop in range(9):  # all of a's candidates, then each with one neighbour less
+                cand, start = adj[a] & ~(1 << b) & ~(1 << drop), len(decider.warnings)
+                got, mid = find(a, b, cand), len(decider.warnings)
+                assert got == ref(a, b, cand) and decider.warnings[start:mid] == decider.warnings[mid:]
+        assert asked and set(asked) <= allowed
+        asked.clear()
 
 
 def test_rank_decider_nonpd_submatrix_is_dependent_with_warning():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr
 
-from oracles import triangular_raw_covariance
+from oracles import comprehension_random_dag, triangular_raw_covariance
 from rankpc.correlation import (
     _finish,
     estimate_correlation_matrix,
@@ -72,6 +72,17 @@ def test_random_dag_degenerate_densities():
         random_dag(5, 1.5, rng)
     with pytest.raises(ValueError):
         random_dag(0, 0.5, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 100), s=st.floats(0.0, 1.0))
+@example(seed=0, p=100, s=1.0)
+@example(seed=0, p=100, s=0.0)
+@example(seed=2, p=1, s=0.5)
+def test_random_dag_matches_comprehension_over_pairs(seed, p, s):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert sorted(random_dag(p, s, rng).edges) == sorted(comprehension_random_dag(p, s, ref).edges)
+    assert rng.random() == ref.random()  # the same draws consumed
 
 
 def test_random_dag_expected_edge_count():

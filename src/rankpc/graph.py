@@ -2,9 +2,11 @@
 
 Nodes are integers 0..p-1.  A :class:`Dag` stores directed edges; a
 :class:`Pdag` stores one state per unordered pair (absent, directed either
-way, or undirected) and is the output type of structure learning.  The
-orientation closure reads its rules off per-node integer bitmasks of
-parents, children and undirected neighbours.
+way, or undirected) and is the output type of structure learning.
+Orientation keeps one private state, per-node integer bitmasks of adjacent
+nodes, parents, children and undirected neighbours: collider orientation
+writes it, the orientation closure reads and updates it in place, and the
+pair dict of a :class:`Pdag` is built from it once, at the end.
 """
 
 from __future__ import annotations
@@ -104,9 +106,6 @@ class Dag:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self._parents[v] + self._children[v]))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
     def is_adjacent(self, u: int, v: int) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
 
@@ -186,9 +185,9 @@ class Pdag:
         if u == v or not (0 <= u < self.p and 0 <= v < self.p):
             raise ValueError(f"invalid pair ({u}, {v}) for p={self.p}")
         st = self._states.get((u, v) if u < v else (v, u), EdgeState.ABSENT)
-        if st in (EdgeState.FORWARD, EdgeState.BACKWARD):
-            return EdgeState.FORWARD if _arrow_in(self._states, u, v) else EdgeState.BACKWARD
-        return st
+        if u < v or st < EdgeState.FORWARD:
+            return st
+        return EdgeState.BACKWARD if st == EdgeState.FORWARD else EdgeState.FORWARD
 
     def is_adjacent(self, u: int, v: int) -> bool:
         return self.state(u, v) != EdgeState.ABSENT
@@ -197,22 +196,12 @@ class Pdag:
         """True when the directed edge a -> b is present."""
         return self.state(a, b) == EdgeState.FORWARD
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        out = [u for u in range(self.p) if u != v and self.is_adjacent(u, v)]
-        return tuple(out)
-
     def directed_edges(self) -> list[tuple[int, int]]:
         return sorted(
-            (u, v) if _arrow_in(self._states, u, v) else (v, u)
+            (u, v) if st == EdgeState.FORWARD else (v, u)
             for (u, v), st in self._states.items()
             if st != EdgeState.UNDIRECTED
         )
-
-    def undirected_edges(self) -> list[tuple[int, int]]:
-        return sorted(k for k, st in self._states.items() if st == EdgeState.UNDIRECTED)
-
-    def edge_count(self) -> int:
-        return len(self._states)
 
     def pair_states(self) -> dict[tuple[int, int], EdgeState]:
         return dict(self._states)
@@ -325,17 +314,33 @@ def markov_equivalent(a: Dag, b: Dag) -> bool:
 
 # -- Orientation closure -----------------------------------------------------
 
-def _arrow_in(states: dict, a: int, b: int) -> bool:
-    if a < b:
-        return states.get((a, b)) == EdgeState.FORWARD
-    return states.get((b, a)) == EdgeState.BACKWARD
+def _masks(states: Mapping[tuple[int, int], EdgeState], p: int) -> tuple[list[int], ...]:
+    """The orientation state of the pair states: per-node bitmasks ``adj, par, chi, und`` of
+    adjacent nodes, parents, children and undirected neighbours."""
+    adj, par, chi, und = ([0] * p for _ in range(4))
+    for (u, v), st in states.items():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        if st == EdgeState.UNDIRECTED:
+            und[u] |= 1 << v
+            und[v] |= 1 << u
+        else:
+            a, b = (u, v) if st == EdgeState.FORWARD else (v, u)
+            chi[a] |= 1 << b
+            par[b] |= 1 << a
+    return adj, par, chi, und
 
 
-def _set_arrow(states: dict, a: int, b: int) -> None:
-    if a < b:
-        states[(a, b)] = EdgeState.FORWARD
-    else:
-        states[(b, a)] = EdgeState.BACKWARD
+def _pair_states(
+    pairs: Iterable[tuple[int, int]], chi: list[int], und: list[int]
+) -> dict[tuple[int, int], EdgeState]:
+    """The state of each adjacent pair u < v of ``pairs`` under the masks, keyed in ``pairs``
+    order: undirected, else u -> v when v is a child of u, else v -> u."""
+    undirected, forward, backward = EdgeState.UNDIRECTED, EdgeState.FORWARD, EdgeState.BACKWARD
+    return {
+        (u, v): undirected if und[u] >> v & 1 else forward if chi[u] >> v & 1 else backward
+        for u, v in pairs
+    }
 
 
 @lru_cache(maxsize=8)
@@ -363,44 +368,33 @@ def _two_nonadjacent(m: int, adj: list[int]) -> bool:
     return False
 
 
-def _meek_fixpoint(states: dict, p: int) -> None:
-    """Orient undirected edges compelled by the three closure rules, in place.
+def _meek_fixpoint(adj: list[int], par: list[int], chi: list[int], und: list[int]) -> None:
+    """Orient undirected edges compelled by the three closure rules, in the masks, in place.
 
-    Passes over the pairs in sorted order until one changes nothing; each
-    undirected pair (u, v) is tried as u -> v, then as v -> u.  A pass that
-    changes something orients at least one undirected pair, so more passes
-    than undirected pairs plus one raise RuntimeError.  The rules read
-    per-node bitmasks kept in step with ``states``: a - b becomes a -> b when
-    ``par[a] & ~adj[b]`` (rule 1: some c -> a, with c and b nonadjacent), when
-    ``chi[a] & par[b]`` (rule 2: a -> c -> b), or when ``und[a] & par[b]`` has
-    two nonadjacent bits (rule 3: c - a - d with c -> b <- d).
+    Passes over the undirected pairs u < v, in the order of u and then of v,
+    until one changes nothing; each is tried as u -> v, then as v -> u.  A
+    pass that changes something orients at least one undirected pair, so
+    more passes than undirected pairs plus one raise RuntimeError.  a - b
+    becomes a -> b when ``par[a] & ~adj[b]`` (rule 1: some c -> a, with c and
+    b nonadjacent), when ``chi[a] & par[b]`` (rule 2: a -> c -> b), or when
+    ``und[a] & par[b]`` has two nonadjacent bits (rule 3: c - a - d with
+    c -> b <- d).
     """
-    adj, par, chi, und = ([0] * p for _ in range(4))
-    for (u, v), st in states.items():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        if st == EdgeState.UNDIRECTED:
-            und[u] |= 1 << v
-            und[v] |= 1 << u
-        elif st != EdgeState.ABSENT:
-            a, b = (u, v) if st == EdgeState.FORWARD else (v, u)
-            chi[a] |= 1 << b
-            par[b] |= 1 << a
-    pairs = sorted(states)
     for _ in range(sum(map(int.bit_count, und)) // 2 + 1):
         changed = False
-        for u, v in pairs:
-            if not und[u] >> v & 1:
-                continue
-            for a, b in ((u, v), (v, u)):
-                if par[a] & ~adj[b] or chi[a] & par[b] or _two_nonadjacent(und[a] & par[b], adj):
-                    _set_arrow(states, a, b)
-                    und[a] ^= 1 << b
-                    und[b] ^= 1 << a
-                    chi[a] |= 1 << b
-                    par[b] |= 1 << a
-                    changed = True
-                    break
+        for u in range(len(und)):
+            above = und[u] & -(2 << u)  # orienting (u, v) clears no other pair's bit
+            while above:
+                v = (above & -above).bit_length() - 1
+                above &= above - 1
+                for a, b in ((u, v), (v, u)):
+                    if par[a] & ~adj[b] or chi[a] & par[b] or _two_nonadjacent(und[a] & par[b], adj):
+                        und[a] ^= 1 << b
+                        und[b] ^= 1 << a
+                        chi[a] |= 1 << b
+                        par[b] |= 1 << a
+                        changed = True
+                        break
         if not changed:
             return
     raise RuntimeError("orientation closure still changing after one pass per undirected pair")
@@ -408,9 +402,9 @@ def _meek_fixpoint(states: dict, p: int) -> None:
 
 def meek_closure(pdag: Pdag) -> Pdag:
     """Apply the three orientation rules until no undirected edge is compelled."""
-    states = pdag.pair_states()
-    _meek_fixpoint(states, pdag.p)
-    return Pdag(pdag.p, states)
+    adj, par, chi, und = _masks(pdag._states, pdag.p)
+    _meek_fixpoint(adj, par, chi, und)
+    return Pdag._adopt(pdag.p, _pair_states(pdag._states, chi, und))
 
 
 def cpdag(dag: Dag) -> Pdag:
@@ -420,14 +414,11 @@ def cpdag(dag: Dag) -> Pdag:
     under the orientation rules.  Edges left undirected are exactly those
     whose direction varies across equivalent DAGs.
     """
-    states: dict[tuple[int, int], EdgeState] = {
-        pair: EdgeState.UNDIRECTED for pair in skeleton(dag)
-    }
+    states = dict.fromkeys(skeleton(dag), EdgeState.UNDIRECTED)
     for u, v, w in unshielded_colliders(dag):
-        _set_arrow(states, u, v)
-        _set_arrow(states, w, v)
-    _meek_fixpoint(states, dag.p)
-    return Pdag(dag.p, states)
+        for a in (u, w):
+            states[(a, v) if a < v else (v, a)] = EdgeState.FORWARD if a < v else EdgeState.BACKWARD
+    return meek_closure(Pdag._adopt(dag.p, states))
 
 
 def shd(a: Pdag, b: Pdag) -> int:
@@ -457,13 +448,12 @@ def dag_to_text(dag: Dag) -> str:
 
 def pdag_to_text(pdag: Pdag) -> str:
     """Header, then one line per adjacent pair in sorted pair order."""
-    states = pdag.pair_states()
     lines = [f"p={pdag.p}"]
-    for u, v in sorted(states):
-        if states[(u, v)] == EdgeState.UNDIRECTED:
+    for (u, v), st in sorted(pdag.pair_states().items()):
+        if st == EdgeState.UNDIRECTED:
             lines.append(f"{u} -- {v}")
         else:
-            a, b = (u, v) if _arrow_in(states, u, v) else (v, u)
+            a, b = (u, v) if st == EdgeState.FORWARD else (v, u)
             lines.append(f"{a} -> {b}")
     return "\n".join(lines) + "\n"
 
@@ -503,5 +493,5 @@ def pdag_from_text(text: str) -> Pdag:
         if mark == "--":
             states[key] = EdgeState.UNDIRECTED
         else:
-            _set_arrow(states, u, v)
+            states[key] = EdgeState.FORWARD if u < v else EdgeState.BACKWARD
     return Pdag(p, states)

@@ -1,7 +1,10 @@
 """The PC structure-learning algorithm over an abstract independence decider.
 
 Level-wise skeleton search followed by collider orientation and the
-orientation closure, both of which read per-node adjacency bitmasks.  With
+orientation closure.  Both work on one orientation state, per-node bitmasks
+of adjacent nodes, parents, children and undirected neighbours: colliders
+write it, the closure updates it, and the pair dict of the learned
+:class:`Pdag` is built from it once, at the end.  With
 a d-separation oracle the output is exactly the equivalence class of the
 data-generating DAG, and no query conditions on more than max-degree-many
 variables.
@@ -14,16 +17,7 @@ from itertools import compress
 from operator import not_
 
 from .citest import CiDecider
-from .graph import (
-    EdgeState,
-    Pdag,
-    _arrow_in,
-    _bits,
-    _meek_fixpoint,
-    _pairs,
-    _set_arrow,
-    pdag_to_text,
-)
+from .graph import EdgeState, Pdag, _bits, _meek_fixpoint, _pair_states, _pairs, pdag_to_text
 
 __all__ = [
     "SkeletonResult",
@@ -177,15 +171,22 @@ def orient_colliders(
 
     For each nonadjacent pair (u, w) with a recorded separating set and each
     common neighbor v: orient u -> v <- w exactly when v is outside the set.
-    The common neighbors are the bits of ``adj[u] & adj[w]``, with the set's
-    bits cleared, visited from the lowest up.  Conflicting orientations are
-    overwritten last-write-wins and noted in the returned warnings.
+    Triples are visited by u, then w, then v, each from the lowest up.
+    Conflicting orientations are overwritten last-write-wins and noted in the
+    returned warnings.  The states are keyed in ``edges`` order.
     """
-    states = {pair: EdgeState.UNDIRECTED for pair in edges}
+    (_, _, chi, und), warnings = _collider_masks(edges, sepsets, p)
+    return _pair_states(edges, chi, und), warnings
+
+
+def _collider_masks(edges: set, sepsets: dict, p: int) -> tuple[tuple[list[int], ...], list[str]]:
+    """:func:`orient_colliders` on the bitmasks ``adj, par, chi, und``, returned with the warnings.
+    Writing a -> v clears v -> a, and warns when it was set."""
     adj = [0] * p
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    par, chi, und = [0] * p, [0] * p, adj.copy()
     warnings: list[str] = []
     for u in range(p):
         reach = 0
@@ -198,15 +199,23 @@ def orient_colliders(
             common = adj[u] & adj[w]
             for x in sep:
                 common &= ~(1 << x)
-            for v in _bits(common):
+            while common:
+                bv = common & -common
+                common ^= bv
+                v = bv.bit_length() - 1
                 for a in (u, w):  # u -> v, then w -> v
-                    if _arrow_in(states, v, a):
+                    if chi[v] >> a & 1:
                         warnings.append(
                             f"orientation conflict on pair {min(a, v), max(a, v)}: "
                             f"overwriting with {a} -> {v}"
                         )
-                    _set_arrow(states, a, v)
-    return states, warnings
+                        chi[v] ^= 1 << a
+                        par[a] ^= bv
+                    und[a] &= ~bv
+                    und[v] &= ~(1 << a)
+                    chi[a] |= bv
+                    par[v] |= 1 << a
+    return (adj, par, chi, und), warnings
 
 
 def run_pc(
@@ -218,11 +227,11 @@ def run_pc(
     """Full PC: skeleton search, collider orientation, orientation closure."""
     start = len(decider.warnings)
     skel = pc_skeleton(decider, p, max_cond=max_cond, stable=stable)
-    states, orient_warnings = orient_colliders(skel.edges, skel.sepsets, p)
-    _meek_fixpoint(states, p)
+    (adj, par, chi, und), orient_warnings = _collider_masks(skel.edges, skel.sepsets, p)
+    _meek_fixpoint(adj, par, chi, und)
     warnings = decider.warnings[start:] + orient_warnings
     return PcResult(
-        pdag=Pdag._adopt(p, states),
+        pdag=Pdag._adopt(p, _pair_states(skel.edges, chi, und)),
         sepsets=skel.sepsets,
         tests_run=skel.tests_run,
         max_cond_used=skel.max_cond_used,

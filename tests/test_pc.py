@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import rankpc.partial
 from rankpc.citest import CiDecider, OracleDecider, RankCiDecider, TestConfig
 from rankpc.correlation import estimate_correlation_matrix
-from rankpc.graph import Dag, EdgeState, Pdag, cpdag, skeleton
+from rankpc.graph import Dag, EdgeState, Pdag, cpdag, meek_closure, skeleton
 from rankpc.partial import PartialCorrelations
 from rankpc.pc import PcResult, orient_colliders, pc_result_to_text, pc_skeleton, run_pc
 from rankpc.simulate import SemModel, random_dag, random_weights, sample_sem
@@ -341,10 +341,36 @@ def test_orient_colliders_matches_set_based_loop(data, p):
     assert warnings == want_warnings
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 10),
+    nonpd=st.booleans(),
+    n=st.integers(20, 1000),
+    cutoff=st.floats(0.0, 1.0),
+)
+def test_run_pc_matches_public_orientation_route(seed, p, nonpd, n, cutoff):
+    # run_pc orients on one bitmask state; the public route is orient_colliders, then meek_closure
+    rng = np.random.default_rng(seed)
+    sigma = random_correlation(rng, p)
+    if nonpd and p >= 3:
+        block = rng.choice(p, 3, replace=False)
+        sigma[np.ix_(block, block)] = NONPD_BLOCK
+    config = TestConfig("fisher_z", alpha=10.0 ** (-7.0 * cutoff - 0.5))
+    for stable in (False, True):
+        got = run_pc(RankCiDecider(sigma, n, config), p, stable=stable)
+        decider = RankCiDecider(sigma, n, config)
+        skel = pc_skeleton(decider, p, stable=stable)
+        states, conflicts = orient_colliders(skel.edges, skel.sepsets, p)
+        want = meek_closure(Pdag(p, states))
+        assert list(got.pdag.pair_states().items()) == list(want.pair_states().items())
+        assert got.warnings == decider.warnings + conflicts
+
+
 def test_run_pc_chain_gives_undirected_chain():
     res = run_pc(OracleDecider(CHAIN), 3)
     assert res.pdag == cpdag(CHAIN)
-    assert res.pdag.undirected_edges() == [(0, 1), (1, 2)]
+    assert res.pdag.pair_states() == {(0, 1): EdgeState.UNDIRECTED, (1, 2): EdgeState.UNDIRECTED}
 
 
 def test_run_pc_collider_preserved():
@@ -399,7 +425,7 @@ def test_run_pc_propagates_decider_warnings():
     res = run_pc(dec, 3)
     assert res.warnings
     assert all("dependent by default" in w for w in res.warnings)
-    assert res.pdag.edge_count() == 3  # nothing could be removed
+    assert len(res.pdag.pair_states()) == 3  # nothing could be removed
 
 
 def test_pc_result_to_text_layout():

@@ -23,6 +23,7 @@ from scipy.special import ndtri
 
 from .correlation import METHODS
 from .graph import Dag, _bits, _pairs, d_separated
+from . import partial  # decide reads the kernel off its module at each call, as the table builds do
 from .partial import NotPositiveDefiniteError, PartialCorrelations, _checked_query
 
 __all__ = [
@@ -99,15 +100,14 @@ class CiDecider:
     """Base conditional-independence decider.
 
     ``decide(u, v, s)`` returns True for independent, False for dependent,
-    and must be symmetric in (u, v).  ``first_independent(u, v, subsets)``
-    asks sorted conditioning sets of one size in order and returns the index
-    of the first one that separates u and v, or None; a subclass may answer
-    it in one batch.  Skeleton search asks each level in bulk:
+    and must be symmetric in (u, v); it is the one call that asks a single
+    query.  Skeleton search asks each level in bulk:
     ``marginally_independent(p)`` answers level 0 for every pair at once,
     ``level_one_masks(pairs)`` may answer level 1 as bitmasks, but returns
     None here, and ``separator_finder(adj, level)`` answers each direction
-    of the levels above, here by one ``first_independent`` call and in
-    ``RankCiDecider`` from one table per level.
+    of the levels above.  Here all three ask ``decide`` one set at a time,
+    lazily, so a subclass that defines only ``decide`` runs the same search;
+    ``RankCiDecider`` answers each level from one table.
     ``max_cond_size`` is the largest usable conditioning-set size (None for
     unbounded); skeleton search will not query beyond it.  Noteworthy events
     are appended to ``warnings``.
@@ -132,34 +132,26 @@ class CiDecider:
         The returned function takes a direction (a, b) and the bitmask ``cand`` of a's candidates,
         inside adj[a] - {b}.  It returns the separator, the first size-``level`` subset of cand in
         lexicographic order that separates a and b (or None), and how many subsets it asked: up to
-        and including the separator, or all of them.  Here that is one ``first_independent`` call.
+        and including the separator, or all of them.  Here each subset is one ``decide`` call.
         """
 
         def find(a: int, b: int, cand: int) -> tuple[int, tuple | None]:
-            subsets = list(combinations(_bits(cand), level))
-            i = self.first_independent(min(a, b), max(a, b), subsets)
-            return (len(subsets), None) if i is None else (i + 1, subsets[i])
+            u, v = min(a, b), max(a, b)
+            for i, s in enumerate(combinations(_bits(cand), level), 1):
+                if self.decide(u, v, s):
+                    return i, s
+            return math.comb(cand.bit_count(), level), None
 
         return find
-
-    def first_independent(self, u: int, v: int, subsets: Sequence[tuple[int, ...]]) -> int | None:
-        for i, s in enumerate(subsets):
-            if self.decide(u, v, s):
-                return i
-        return None
 
     def marginally_independent(self, p: int) -> list[bool]:
         """Is u independent of v given nothing, for each pair u < v of p nodes, in lexicographic order?
 
-        Asks ``first_independent(u, v, [()])`` once per pair, and once more
-        for a dependent pair: skeleton search asks a pair that stays adjacent
-        from both of its sides.
+        Asks ``decide(u, v, ())`` once per pair, and once more for a dependent
+        pair: skeleton search asks a pair that stays adjacent from both of its
+        sides.
         """
-        return [
-            self.first_independent(u, v, [()]) is not None
-            or self.first_independent(u, v, [()]) is not None
-            for u, v in _pairs(p)
-        ]
+        return [self.decide(u, v, ()) or self.decide(u, v, ()) for u, v in _pairs(p)]
 
 
 class RankCiDecider(CiDecider):
@@ -179,8 +171,7 @@ class RankCiDecider(CiDecider):
     (``warn_nonpd`` warns for the non-PD c the walk passes), and
     ``separator_finder`` at each level >= 2 the table
     ``PartialCorrelations.table`` keeps, walked row by row over each
-    direction's sets.  ``decide`` and ``first_independent`` compute their
-    queries in one kernel call.
+    direction's sets.  ``decide`` computes its one query in one kernel call.
     """
 
     def __init__(self, sigma, n: int, config: TestConfig):
@@ -193,7 +184,7 @@ class RankCiDecider(CiDecider):
             self.cutoffs = list(_z_cutoffs(n, z, range(min(p, n - 3))))
         else:
             self.max_cond_size = None
-            self.cutoffs = [config.gamma] * p
+            self.cutoffs = [float(config.gamma)] * p
 
     def _cutoff(self, level: int) -> float:
         try:
@@ -204,18 +195,6 @@ class RankCiDecider(CiDecider):
     def _nonpd_warning(self, u: int, v: int, s: tuple[int, ...]) -> str:
         err = NotPositiveDefiniteError(((u, v) if u < v else (v, u)) + s)
         return f"dependent by default for ({u}, {v} | {s}): {err}"
-
-    def first_independent(self, u: int, v: int, subsets: Sequence[tuple[int, ...]]) -> int | None:
-        if not subsets:
-            return None
-        a, b = (u, v) if u < v else (v, u)
-        gamma = self._cutoff(len(subsets[0]))
-        for i, r in enumerate(self.partials.batch(a, b, subsets)):
-            if abs(r) <= gamma:
-                return i
-            if math.isnan(r):
-                self.warnings.append(self._nonpd_warning(u, v, subsets[i]))
-        return None
 
     def marginally_independent(self, p: int) -> list[bool]:
         """One comparison of ``PartialCorrelations.pair_marginal`` with the cutoff; p must be the
@@ -276,8 +255,15 @@ class RankCiDecider(CiDecider):
         return find
 
     def decide(self, u: int, v: int, s: Iterable[int] = ()) -> bool:
-        _, _, cond = _checked_query(self.partials.sigma.shape[0], u, v, s)
-        return self.first_independent(u, v, [cond]) is not None
+        """|r(u, v | S)| <= the cutoff of level |S|, from ``partial_corr_batch`` on the row S + (a, b),
+        a < b; the empty set reads the marginal entry.  A non-PD submatrix is dependent, warned."""
+        sigma = self.partials.sigma
+        a, b, cond = _checked_query(sigma.shape[0], u, v, s)
+        gamma = self._cutoff(len(cond))
+        r = abs(float(partial.partial_corr_batch(sigma, np.array([cond + (a, b)]))[0]))
+        if math.isnan(r):
+            self.warnings.append(self._nonpd_warning(u, v, cond))
+        return r <= gamma
 
 
 class OracleDecider(CiDecider):

@@ -137,9 +137,9 @@ class PartialCorrelations:
     off-diagonal one is NaN, and ``pair_marginal`` holds |r(a, b | {})| for
     the pairs a < b in lexicographic order.  ``level_one`` computes a fit's
     level-1 table from the rows of sigma and 1 - sigma^2, and ``table`` the
-    table of a level >= 2, one kept per level for later fits.  ``batch``
-    computes a list of queries in one kernel call.  NaN marks a submatrix
-    that is not positive definite.
+    table of a level >= 2, one kept per level for later fits.  A single
+    query is one ``partial_corr_batch`` call on its row.  NaN marks a
+    submatrix that is not positive definite.
     """
 
     def __init__(self, sigma):
@@ -153,13 +153,6 @@ class PartialCorrelations:
         np.fill_diagonal(gap, np.nan)  # c = a is never a conditioning node of (a, b)
         self._rows = np.stack([self.sigma, gap])  # the rows level_one gathers
         self._tables: dict[int, LevelTable] = {}
-
-    def batch(self, a: int, b: int, conds: Sequence[tuple[int, ...]]) -> list[float]:
-        """r(a, b | S) for each S in ``conds``: the marginal entry for the empty set, else one
-        ``partial_corr_batch`` call; needs a < b, each S sorted, all of one size."""
-        if not conds[0]:
-            return [float(self.marginal[a, b])] * len(conds)
-        return partial_corr_batch(self.sigma, np.array([c + (a, b) for c in conds])).tolist()
 
     def level_one(self, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
         """|r(a, b | c)| at [i, c] for the i-th pair (a, b), a < b, of ``pairs`` and every node c, bitwise

@@ -133,7 +133,7 @@ def _level_one(decider: CiDecider, pairs: list, adj: list[int], sepsets: dict, s
 
     Direction a of pair (u, v) asks each c in ``cand = adj(a) - {b}`` from the lowest up: the
     separator is the lowest bit of ``sep & cand``, and each non-PD bit below it is warned.  A
-    decider without masks is asked ``first_independent(u, v, [(c,) for c in cand])``.
+    decider without masks is asked ``decide(u, v, (c,))`` for each c in turn, up to the separator.
     """
     frozen = adj.copy() if stable else adj
     masks = decider.level_one_masks(pairs)
@@ -144,9 +144,7 @@ def _level_one(decider: CiDecider, pairs: list, adj: list[int], sepsets: dict, s
             if not cand:
                 continue
             if masks is None:
-                cs = _bits(cand)
-                i = decider.first_independent(u, v, [(c,) for c in cs])
-                low, nonpd = 0 if i is None else 1 << cs[i], 0
+                low, nonpd = next((1 << c for c in _bits(cand) if decider.decide(u, v, (c,))), 0), 0
             else:
                 sep, nonpd = masks[k]
                 low = sep & cand & -(sep & cand)

@@ -241,9 +241,8 @@ def triangular_raw_covariance(model) -> np.ndarray:
     return cov
 
 
-# Skeleton search with one ``first_independent`` call per (pair, direction,
-# level), level 0 included: a kept pair's marginal query is asked from both
-# of its sides.
+# Skeleton search with one ``decide`` call per subset, level 0 included: a
+# kept pair's marginal query is asked from both of its sides.
 def naive_pc_skeleton(
     decider: CiDecider,
     p: int,
@@ -255,11 +254,10 @@ def naive_pc_skeleton(
     At level l, each still-adjacent pair (u, v) is tested against every
     size-l subset of adj(u) - {v}, then of adj(v) - {u}, until some query
     reports independence; the first separating set found is recorded.  Each
-    (pair, direction, level) is one ``decider.first_independent`` call, and
-    ``tests_run`` counts the subsets up to the first independent one.  Pairs
-    are processed in lexicographic order and candidate subsets in
-    lexicographic order over the sorted neighbor list, so runs are
-    deterministic.  By default adjacency sets shrink as edges fall during a
+    subset is one ``decider.decide`` call, and ``tests_run`` counts the
+    subsets up to the first independent one.  Pairs are processed in
+    lexicographic order and candidate subsets in lexicographic order over
+    the sorted neighbor list, so runs are deterministic.  By default adjacency sets shrink as edges fall during a
     level (the classic order-dependent behavior); ``stable=True`` freezes the
     neighbor lists at the start of each level instead.
 
@@ -294,16 +292,18 @@ def naive_pc_skeleton(
                 cands = [x for x in nbrs if x != b]
                 if len(cands) < level:
                     continue
-                subsets = list(combinations(cands, level))
                 max_used = max(max_used, level)
-                i = decider.first_independent(u, v, subsets)
-                if i is None:
-                    tests_run += len(subsets)
+                sep = None
+                for s in combinations(cands, level):
+                    tests_run += 1
+                    if decider.decide(u, v, s):
+                        sep = s
+                        break
+                if sep is None:
                     continue
-                tests_run += i + 1
                 adj[u].discard(v)
                 adj[v].discard(u)
-                sepsets[(u, v)] = subsets[i]
+                sepsets[(u, v)] = sep
                 break
         level += 1
     edges = {(u, v) for u in range(p) for v in adj[u] if u < v}

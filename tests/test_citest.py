@@ -11,7 +11,7 @@ import rankpc.partial
 from rankpc.citest import CiDecider, OracleDecider, RankCiDecider, TestConfig, gamma_threshold
 from rankpc.correlation import estimate_correlation_matrix
 from rankpc.graph import Dag, d_separated
-from rankpc.partial import PartialCorrelations
+from rankpc.partial import PartialCorrelations, partial_corr_batch
 from rankpc.simulate import SemModel, random_dag, random_weights, sample_sem
 
 from oracles import fisher_z_decide, halving_partial_corr_batch, partial_corr_recursive, random_correlation
@@ -100,19 +100,37 @@ def test_rank_decider_threshold_variant():
     assert loose.decide(0, 1, ())
     assert not tight.decide(0, 1, ())
     assert loose.max_cond_size is None
-    # the cutoff is inclusive: gamma = |r(0, 1 | S)| is independent, one ulp less is not
+    # the cutoff is inclusive: gamma = |r(0, 1 | S)| is independent, one ulp less is not; each
+    # gamma is an np.float64, and decide still answers a Python bool
     sigma = random_correlation(np.random.default_rng(73), 3)
     partials = PartialCorrelations(sigma)
     g0 = abs(partials.marginal[0][1])
-    g1 = abs(partials.batch(0, 1, [(2,)])[0])
-    assert partials.batch(0, 1, [()]) == [partials.marginal[0][1]]  # level 0 reads the entry
-    for gamma, independent in ((g0, True), (float(np.nextafter(g0, 0.0)), False)):
+    g1 = abs(partial_corr_batch(partials.sigma, np.array([[2, 0, 1]]))[0])
+    assert partial_corr_batch(partials.sigma, np.array([[0, 1]])).tobytes() == partials.marginal[0, 1:2].tobytes()
+    for gamma, independent in ((g0, True), (np.nextafter(g0, 0.0), False)):
         dec = RankCiDecider(sigma, 50, TestConfig("threshold", gamma=gamma))
         assert dec.marginally_independent(3)[0] is independent  # pair (0, 1)
-        assert dec.decide(0, 1, ()) is independent
-    for gamma, first in ((g1, 0), (float(np.nextafter(g1, 0.0)), None)):
+        assert dec.decide(0, 1, ()) is independent and dec.decide(1, 0) is independent
+    for gamma, independent in ((g1, True), (np.nextafter(g1, 0.0), False)):
         dec = RankCiDecider(sigma, 50, TestConfig("threshold", gamma=gamma))
-        assert dec.first_independent(0, 1, [(2,)]) == first
+        assert dec.decide(0, 1, (2,)) is independent and dec.decide(1, 0, [2]) is independent
+
+
+@pytest.mark.parametrize(
+    "config", [TestConfig("fisher_z", alpha=0.05), TestConfig("threshold", gamma=np.float64(0.1))]
+)
+def test_decide_returns_a_python_bool(config):
+    sigma = random_correlation(np.random.default_rng(11), 6)
+    sigma[:3, :3] = NONPD_BLOCK
+    dec = RankCiDecider(sigma, 100, config)
+    answers = [
+        dec.decide(u, v, s)
+        for u, v in combinations(range(6), 2)
+        for size in range(4)
+        for s in combinations([w for w in range(6) if w not in (u, v)], size)
+    ]
+    assert {type(x) for x in answers} == {bool} and set(answers) == {False, True}
+    assert dec.warnings  # non-PD queries answer a bool too
 
 
 def test_rank_decider_fisher_cond_cap():
@@ -139,7 +157,7 @@ def test_every_level_matches_the_z_test(seed, p, n, cutoff):
         rest = [w for w in range(p) if w not in (u, v)]
         for size in range(min(p - 2, n - 4) + 1):
             for s in combinations(rest, size):
-                r = partials.batch(u, v, [s])[0]
+                r = float(partial_corr_batch(partials.sigma, np.array([s + (u, v)]))[0])
                 assert dec.decide(u, v, s) == fisher_z_decide(r, n, size, alpha)
 
 
@@ -315,22 +333,41 @@ def test_rank_decider_nonpd_submatrix_is_dependent_with_warning():
     cutoff=st.floats(0.0, 1.0),
 )
 def test_first_independent_matches_decide_loop(seed, p, level, nonpd, variant, n, cutoff):
+    # the first separating subset of one direction on the complete graph, from the bulk route of
+    # its level (marginal entries, level-1 masks, the level table), against decide asked over the
+    # same sorted subsets in order; warnings too, and the same queries asked again
     rng = np.random.default_rng(seed)
     sigma = random_correlation(rng, p)
     if nonpd:
         sigma[:3, :3] = NONPD_BLOCK  # the block test_run_pc_propagates_decider_warnings uses
     u, v = (int(x) for x in rng.choice(p, size=2, replace=False))
+    a, b = min(u, v), max(u, v)
     cands = [w for w in range(p) if w not in (u, v)]
-    subsets = list(combinations(cands, min(level, len(cands))))
+    level = min(level, len(cands))
+    subsets = list(combinations(cands, level))
     if variant == "fisher_z":
         config = TestConfig("fisher_z", alpha=10.0 ** (-7.0 * cutoff - 0.5))
     else:
         config = TestConfig("threshold", gamma=cutoff)
     batched = RankCiDecider(sigma, n, config)
     looped = RankCiDecider(sigma, n, config)
-    for _ in range(2):  # the same queries asked again
-        want = CiDecider.first_independent(looped, u, v, subsets)
-        assert batched.first_independent(u, v, subsets) == want
+    adj = [(1 << p) - 1 - (1 << w) for w in range(p)]  # complete
+    cand = adj[u] & ~(1 << v)
+    for _ in range(2):
+        want = next((i for i, s in enumerate(subsets) if looped.decide(a, b, s)), None)
+        if level == 0:
+            got = 0 if batched.marginally_independent(p)[list(combinations(range(p), 2)).index((a, b))] else None
+        elif level == 1:
+            [(sep, bad)] = batched.level_one_masks([(a, b)])
+            low = sep & cand & -(sep & cand)
+            if bad & cand & (low - 1):
+                batched.warn_nonpd(a, b, bad & cand & (low - 1))
+            got = cands.index(low.bit_length() - 1) if low else None
+        else:
+            asked, sep = batched.separator_finder(adj, level)(u, v, cand)
+            got = None if sep is None else subsets.index(sep)
+            assert asked == (len(subsets) if got is None else got + 1)
+        assert got == want
         assert batched.warnings == looped.warnings
 
 

@@ -129,10 +129,23 @@ def test_skeleton_matches_naive_oracle(kind, seed, p, degenerate, n, cutoff, sta
 
 class UnprefetchedDecider(RankCiDecider):
     """The rank decider without the level-1 mask sweep or the tables of levels >= 2: from level 1
-    up, one ``first_independent`` call per (pair, direction, level), each its own kernel call."""
+    up, one ``decide`` call per subset, each its own kernel call."""
 
     level_one_masks = CiDecider.level_one_masks
     separator_finder = CiDecider.separator_finder
+
+
+class DecideOnly(CiDecider):
+    """A decider that defines only ``decide``, answered by ``inner`` and counted: every level of
+    skeleton search reaches it through the base class's per-query walk."""
+
+    def __init__(self, inner: CiDecider):
+        super().__init__()
+        self.inner, self.warnings, self.max_cond_size, self.calls = inner, inner.warnings, inner.max_cond_size, 0
+
+    def decide(self, u, v, s=()):
+        self.calls += 1
+        return self.inner.decide(u, v, s)
 
 
 @pytest.mark.parametrize("stable", [False, True])
@@ -196,8 +209,10 @@ def test_level_one_warns_only_below_the_separator():
     max_cond=st.sampled_from([None, 1, 2, 3]),
 )
 def test_closed_form_levels_match_per_query_decider(seed, p, degenerate, variant, n, cutoff, max_cond):
-    # levels 0 to 2 answered in bulk from the marginal, level-1 and level-2 tables, against
-    # one memo query per (pair, direction, level), on matrices with non-PD and unit submatrices
+    # levels 0 to 2 answered in bulk from the marginal, level-1 and level-2 tables, against one
+    # decide call per subset, on matrices with non-PD and unit submatrices.  A decider that defines
+    # only decide gets the same result, warnings in order, from exactly tests_run decide calls:
+    # the contract perfbench's traced decider relies on
     rng = np.random.default_rng(seed)
     sigma = random_correlation(rng, p)
     if degenerate in ("nonpd", "both"):
@@ -213,6 +228,9 @@ def test_closed_form_levels_match_per_query_decider(seed, p, degenerate, variant
     for stable in (False, True):
         got = run_pc(RankCiDecider(sigma, n, config), p, max_cond=max_cond, stable=stable)
         assert got == run_pc(UnprefetchedDecider(sigma, n, config), p, max_cond=max_cond, stable=stable)
+        decider = DecideOnly(RankCiDecider(sigma, n, config))
+        assert got == run_pc(decider, p, max_cond=max_cond, stable=stable)  # pdag, sepsets, counts, warnings
+        assert decider.calls == got.tests_run
 
 
 @pytest.mark.parametrize("stable", [False, True])

@@ -202,9 +202,8 @@ class RankCiDecider(CiDecider):
         partials = self.partials
         if p != len(partials.sigma):
             raise ValueError(f"asked about {p} variables of a {len(partials.sigma)}-variable matrix")
-        if partials.has_nonpd_marginal:
-            for u, v in zip(*np.nonzero(np.triu(np.isnan(partials.marginal), 1))):
-                self.warnings += [self._nonpd_warning(int(u), int(v), ())] * 2
+        for i in np.flatnonzero(np.isnan(partials.pair_marginal)).tolist():
+            self.warnings += [self._nonpd_warning(*_pairs(p)[i], ())] * 2
         return (partials.pair_marginal <= self._cutoff(0)).tolist()
 
     def level_one_masks(self, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -256,7 +255,7 @@ class RankCiDecider(CiDecider):
 
     def decide(self, u: int, v: int, s: Iterable[int] = ()) -> bool:
         """|r(u, v | S)| <= the cutoff of level |S|, from ``partial_corr_batch`` on the row S + (a, b),
-        a < b; the empty set reads the marginal entry.  A non-PD submatrix is dependent, warned."""
+        a < b.  A non-PD submatrix is dependent, warned."""
         sigma = self.partials.sigma
         a, b, cond = _checked_query(sigma.shape[0], u, v, s)
         gamma = self._cutoff(len(cond))

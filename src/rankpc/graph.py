@@ -1,13 +1,12 @@
 """Directed acyclic graphs, partially directed graphs, and equivalence-class operations.
 
 Nodes are integers 0..p-1.  A :class:`Dag` stores directed edges; a
-:class:`Pdag` stores one state per unordered pair (absent, directed either
-way, or undirected) and is the output type of structure learning.
-Orientation keeps one private state, per-node integer bitmasks of adjacent
-nodes, parents, children and undirected neighbours: collider orientation
-writes it, the orientation closure reads and updates it in place, and the
-pair dict of a :class:`Pdag` is built from it once, at the end.
-"""
+:class:`Pdag` has one state per unordered pair (absent, directed either
+way, or undirected) and is the output type of structure learning.  A Pdag
+stores its pairs as per-node integer bitmasks of adjacent nodes, parents,
+children and undirected neighbours, the one orientation state: collider
+orientation writes it, the orientation closure updates a copy in place,
+and every reader (pair states, cycles, distance, text) reads its bits."""
 
 from __future__ import annotations
 
@@ -16,6 +15,7 @@ from enum import IntEnum
 from functools import lru_cache
 from itertools import combinations
 from numbers import Integral
+from operator import index
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -156,38 +156,54 @@ class EdgeState(IntEnum):
 
 
 class Pdag:
-    """Immutable partially directed graph: one :class:`EdgeState` per pair."""
+    """Immutable partially directed graph: one :class:`EdgeState` per pair.
 
-    __slots__ = ("p", "_states")
+    Stored as per-node bitmasks ``adj, par, chi, und``: bit v of ``chi[u]``
+    and of ``par[v]`` is the arrow u -> v, bit v of ``und[u]`` and bit u of
+    ``und[v]`` the undirected edge u - v, and ``adj`` is their union.
+    """
+
+    __slots__ = ("p", "_adj", "_par", "_chi", "_und")
 
     def __init__(self, p: int, states: Mapping[tuple[int, int], EdgeState] = ()):
         if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise ValueError(f"node count must be a positive integer, got {p!r}")
-        self.p = p
-        clean: dict[tuple[int, int], EdgeState] = {}
+        adj, par, chi, und = ([0] * p for _ in range(4))
+        absent, undirected, forward = EdgeState.ABSENT, EdgeState.UNDIRECTED, EdgeState.FORWARD
         for (u, v), st in dict(states).items():
-            if not (0 <= u < v < p):
+            u, v = index(u), index(v)  # a NumPy integer becomes an int, a float raises TypeError
+            if not 0 <= u < v < p:
                 raise ValueError(f"pair ({u}, {v}) must satisfy 0 <= u < v < p={p}")
             st = st if isinstance(st, EdgeState) else EdgeState(st)
-            if st != EdgeState.ABSENT:
-                clean[(u, v)] = st
-        self._states = clean
+            if st == absent:
+                continue
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            if st == undirected:
+                und[u] |= 1 << v
+                und[v] |= 1 << u
+            else:
+                a, b = (u, v) if st == forward else (v, u)
+                chi[a] |= 1 << b
+                par[b] |= 1 << a
+        self.p, self._adj, self._par, self._chi, self._und = p, adj, par, chi, und
 
     @classmethod
-    def _adopt(cls, p: int, states: dict[tuple[int, int], EdgeState]) -> Pdag:
-        """A Pdag that takes over a dict this library built: valid pairs, no ABSENT state."""
+    def _adopt(cls, p: int, masks: tuple[list[int], ...]) -> Pdag:
+        """A Pdag that takes over the bitmasks ``adj, par, chi, und`` this library built."""
         pdag = object.__new__(cls)
-        pdag.p, pdag._states = p, states
+        pdag.p, (pdag._adj, pdag._par, pdag._chi, pdag._und) = p, masks
         return pdag
 
     def state(self, u: int, v: int) -> EdgeState:
         """State of the pair, from the perspective (u, v): FORWARD means u -> v."""
         if u == v or not (0 <= u < self.p and 0 <= v < self.p):
             raise ValueError(f"invalid pair ({u}, {v}) for p={self.p}")
-        st = self._states.get((u, v) if u < v else (v, u), EdgeState.ABSENT)
-        if u < v or st < EdgeState.FORWARD:
-            return st
-        return EdgeState.BACKWARD if st == EdgeState.FORWARD else EdgeState.FORWARD
+        if not self._adj[u] >> v & 1:
+            return EdgeState.ABSENT
+        if self._und[u] >> v & 1:
+            return EdgeState.UNDIRECTED
+        return EdgeState.FORWARD if self._chi[u] >> v & 1 else EdgeState.BACKWARD
 
     def is_adjacent(self, u: int, v: int) -> bool:
         return self.state(u, v) != EdgeState.ABSENT
@@ -197,26 +213,26 @@ class Pdag:
         return self.state(a, b) == EdgeState.FORWARD
 
     def directed_edges(self) -> list[tuple[int, int]]:
-        return sorted(
-            (u, v) if st == EdgeState.FORWARD else (v, u)
-            for (u, v), st in self._states.items()
-            if st != EdgeState.UNDIRECTED
-        )
+        return [(a, b) for a, m in enumerate(self._chi) for b in _bits(m)]
 
     def pair_states(self) -> dict[tuple[int, int], EdgeState]:
-        return dict(self._states)
+        """The state of each adjacent pair u < v, in lexicographic order."""
+        und, chi = self._und, self._chi
+        undirected, forward, backward = EdgeState.UNDIRECTED, EdgeState.FORWARD, EdgeState.BACKWARD
+        return {
+            (u, v): undirected if und[u] >> v & 1 else forward if chi[u] >> v & 1 else backward
+            for u, m in enumerate(self._adj)
+            for v in _bits(m & -(2 << u))
+        }
 
     def has_directed_cycle(self) -> bool:
         """Check the directed subgraph for cycles (well-formed CPDAGs have none)."""
-        children: list[list[int]] = [[] for _ in range(self.p)]
-        for a, b in self.directed_edges():
-            children[a].append(b)
-        return len(_topological_order(self.p, children)) != self.p
+        return len(_topological_order(self.p, [_bits(m) for m in self._chi])) != self.p
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pdag):
             return NotImplemented
-        return self.p == other.p and self._states == other._states
+        return (self.p, self._chi, self._und) == (other.p, other._chi, other._und)
 
     def __repr__(self) -> str:
         edges = pdag_to_text(self).splitlines()[1:]
@@ -314,35 +330,6 @@ def markov_equivalent(a: Dag, b: Dag) -> bool:
 
 # -- Orientation closure -----------------------------------------------------
 
-def _masks(states: Mapping[tuple[int, int], EdgeState], p: int) -> tuple[list[int], ...]:
-    """The orientation state of the pair states: per-node bitmasks ``adj, par, chi, und`` of
-    adjacent nodes, parents, children and undirected neighbours."""
-    adj, par, chi, und = ([0] * p for _ in range(4))
-    for (u, v), st in states.items():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        if st == EdgeState.UNDIRECTED:
-            und[u] |= 1 << v
-            und[v] |= 1 << u
-        else:
-            a, b = (u, v) if st == EdgeState.FORWARD else (v, u)
-            chi[a] |= 1 << b
-            par[b] |= 1 << a
-    return adj, par, chi, und
-
-
-def _pair_states(
-    pairs: Iterable[tuple[int, int]], chi: list[int], und: list[int]
-) -> dict[tuple[int, int], EdgeState]:
-    """The state of each adjacent pair u < v of ``pairs`` under the masks, keyed in ``pairs``
-    order: undirected, else u -> v when v is a child of u, else v -> u."""
-    undirected, forward, backward = EdgeState.UNDIRECTED, EdgeState.FORWARD, EdgeState.BACKWARD
-    return {
-        (u, v): undirected if und[u] >> v & 1 else forward if chi[u] >> v & 1 else backward
-        for u, v in pairs
-    }
-
-
 @lru_cache(maxsize=8)
 def _pairs(p: int) -> tuple[tuple[int, int], ...]:
     """The pairs u < v of p nodes in lexicographic order, built once per p."""
@@ -402,9 +389,9 @@ def _meek_fixpoint(adj: list[int], par: list[int], chi: list[int], und: list[int
 
 def meek_closure(pdag: Pdag) -> Pdag:
     """Apply the three orientation rules until no undirected edge is compelled."""
-    adj, par, chi, und = _masks(pdag._states, pdag.p)
-    _meek_fixpoint(adj, par, chi, und)
-    return Pdag._adopt(pdag.p, _pair_states(pdag._states, chi, und))
+    masks = pdag._adj, pdag._par.copy(), pdag._chi.copy(), pdag._und.copy()  # the closure writes no adj
+    _meek_fixpoint(*masks)
+    return Pdag._adopt(pdag.p, masks)
 
 
 def cpdag(dag: Dag) -> Pdag:
@@ -418,7 +405,7 @@ def cpdag(dag: Dag) -> Pdag:
     for u, v, w in unshielded_colliders(dag):
         for a in (u, w):
             states[(a, v) if a < v else (v, a)] = EdgeState.FORWARD if a < v else EdgeState.BACKWARD
-    return meek_closure(Pdag._adopt(dag.p, states))
+    return meek_closure(Pdag(dag.p, states))
 
 
 def shd(a: Pdag, b: Pdag) -> int:
@@ -429,13 +416,11 @@ def shd(a: Pdag, b: Pdag) -> int:
     """
     if a.p != b.p:
         raise ValueError(f"node counts differ: {a.p} != {b.p}")
-    sa = a.pair_states()
-    sb = b.pair_states()
-    dist = 0
-    for key in set(sa) | set(sb):
-        if sa.get(key, EdgeState.ABSENT) != sb.get(key, EdgeState.ABSENT):
-            dist += 1
-    return dist
+    rows = zip(a._adj, b._adj, a._und, b._und, a._chi, b._chi)
+    return sum(
+        (((adj_a ^ adj_b) | (und_a ^ und_b) | (chi_a ^ chi_b)) & -(2 << u)).bit_count()
+        for u, (adj_a, adj_b, und_a, und_b, chi_a, chi_b) in enumerate(rows)
+    )
 
 
 # -- Edge-list text format ---------------------------------------------------
@@ -449,7 +434,7 @@ def dag_to_text(dag: Dag) -> str:
 def pdag_to_text(pdag: Pdag) -> str:
     """Header, then one line per adjacent pair in sorted pair order."""
     lines = [f"p={pdag.p}"]
-    for (u, v), st in sorted(pdag.pair_states().items()):
+    for (u, v), st in pdag.pair_states().items():
         if st == EdgeState.UNDIRECTED:
             lines.append(f"{u} -- {v}")
         else:

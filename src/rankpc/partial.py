@@ -131,11 +131,9 @@ class PartialCorrelations:
 
     Deciders at different significance levels ask largely the same queries,
     so sharing one instance between them computes each partial correlation
-    once.  ``marginal`` is the (p, p) array of r(a, b | {}), the entry read
-    from sigma's lower triangle for both orders of each pair, NaN on the
-    diagonal and where |r| >= 1; ``has_nonpd_marginal`` says whether an
-    off-diagonal one is NaN, and ``pair_marginal`` holds |r(a, b | {})| for
-    the pairs a < b in lexicographic order.  ``level_one`` computes a fit's
+    once.  ``pair_marginal`` holds |r(a, b | {})| for the pairs a < b in
+    lexicographic order, the kernel's value at |S| = 0: the entry sigma[b, a],
+    NaN where |r| >= 1.  ``level_one`` computes a fit's
     level-1 table from the rows of sigma and 1 - sigma^2, and ``table`` the
     table of a level >= 2, one kept per level for later fits.  A single
     query is one ``partial_corr_batch`` call on its row.  NaN marks a
@@ -145,10 +143,8 @@ class PartialCorrelations:
     def __init__(self, sigma):
         self.sigma = validate_correlation_matrix(sigma)
         p = self.sigma.shape[0]
-        self.marginal = _unit_only(np.where(np.tri(p, dtype=bool), self.sigma, self.sigma.T))  # sigma[b, a], a < b
-        np.fill_diagonal(self.marginal, np.nan)
-        self.has_nonpd_marginal = np.count_nonzero(np.isnan(self.marginal)) > p
-        self.pair_marginal = np.abs(self.marginal[np.triu_indices(p, 1)])
+        a, b = np.triu_indices(p, 1)
+        self.pair_marginal = np.abs(_unit_only(self.sigma[b, a]))
         gap = np.where(np.abs(self.sigma) < 1, 1 - self.sigma * self.sigma, np.nan)
         np.fill_diagonal(gap, np.nan)  # c = a is never a conditioning node of (a, b)
         self._rows = np.stack([self.sigma, gap])  # the rows level_one gathers

@@ -3,8 +3,8 @@
 Level-wise skeleton search followed by collider orientation and the
 orientation closure.  Both work on one orientation state, per-node bitmasks
 of adjacent nodes, parents, children and undirected neighbours: colliders
-write it, the closure updates it, and the pair dict of the learned
-:class:`Pdag` is built from it once, at the end.  With
+write it, the closure updates it, and the learned :class:`Pdag` takes it
+over as its own storage, so no fit builds a pair dict.  With
 a d-separation oracle the output is exactly the equivalence class of the
 data-generating DAG, and no query conditions on more than max-degree-many
 variables.
@@ -17,7 +17,7 @@ from itertools import compress
 from operator import not_
 
 from .citest import CiDecider
-from .graph import EdgeState, Pdag, _bits, _meek_fixpoint, _pair_states, _pairs, pdag_to_text
+from .graph import EdgeState, Pdag, _bits, _meek_fixpoint, _pairs, pdag_to_text
 
 __all__ = [
     "SkeletonResult",
@@ -171,10 +171,10 @@ def orient_colliders(
     common neighbor v: orient u -> v <- w exactly when v is outside the set.
     Triples are visited by u, then w, then v, each from the lowest up.
     Conflicting orientations are overwritten last-write-wins and noted in the
-    returned warnings.  The states are keyed in ``edges`` order.
+    returned warnings.  The states are keyed in lexicographic pair order.
     """
-    (_, _, chi, und), warnings = _collider_masks(edges, sepsets, p)
-    return _pair_states(edges, chi, und), warnings
+    masks, warnings = _collider_masks(edges, sepsets, p)
+    return Pdag._adopt(p, masks).pair_states(), warnings
 
 
 def _collider_masks(edges: set, sepsets: dict, p: int) -> tuple[tuple[list[int], ...], list[str]]:
@@ -225,11 +225,11 @@ def run_pc(
     """Full PC: skeleton search, collider orientation, orientation closure."""
     start = len(decider.warnings)
     skel = pc_skeleton(decider, p, max_cond=max_cond, stable=stable)
-    (adj, par, chi, und), orient_warnings = _collider_masks(skel.edges, skel.sepsets, p)
-    _meek_fixpoint(adj, par, chi, und)
+    masks, orient_warnings = _collider_masks(skel.edges, skel.sepsets, p)
+    _meek_fixpoint(*masks)
     warnings = decider.warnings[start:] + orient_warnings
     return PcResult(
-        pdag=Pdag._adopt(p, _pair_states(skel.edges, chi, und)),
+        pdag=Pdag._adopt(p, masks),
         sepsets=skel.sepsets,
         tests_run=skel.tests_run,
         max_cond_used=skel.max_cond_used,

@@ -177,22 +177,34 @@ def cpdag_by_enumeration(dag: Dag) -> Pdag:
     return Pdag(p, states)
 
 
-def cyclic_by_permutations(pdag: Pdag) -> bool:
-    """Do the arrows close a directed cycle?  True when no node order puts them all forward.
+def cyclic_by_permutations(states: dict, p: int) -> bool:
+    """Do the arrows of the pair states close a directed cycle on p nodes?  True when no node
+    order puts them all forward.
 
-    Reads the arrows off the raw pair states, so it shares no decoding with
-    the Pdag methods.  Feasible up to p = 7.
+    Reads the arrows off a raw ``{pair: EdgeState}`` dict, so it shares no
+    decoding with the Pdag methods.  Feasible up to p = 7.
     """
     arrows = [
         (u, v) if st == EdgeState.FORWARD else (v, u)
-        for (u, v), st in pdag.pair_states().items()
+        for (u, v), st in states.items()
         if st in (EdgeState.FORWARD, EdgeState.BACKWARD)
     ]
-    for order in permutations(range(pdag.p)):
+    for order in permutations(range(p)):
         position = {node: i for i, node in enumerate(order)}
         if all(position[a] < position[b] for a, b in arrows):
             return False
     return True
+
+
+def shd_by_pairs(sa: dict, sb: dict) -> int:
+    """Structural Hamming distance of two ``{pair: EdgeState}`` dicts: the pairs whose state
+    differs, a missing pair counting as ABSENT.  The dict-based definition the bitmask
+    ``shd`` replaced."""
+    dist = 0
+    for key in set(sa) | set(sb):
+        if sa.get(key, EdgeState.ABSENT) != sb.get(key, EdgeState.ABSENT):
+            dist += 1
+    return dist
 
 
 def random_correlation(rng: np.random.Generator, p: int, extra: int = 5) -> np.ndarray:

@@ -104,9 +104,10 @@ def test_rank_decider_threshold_variant():
     # gamma is an np.float64, and decide still answers a Python bool
     sigma = random_correlation(np.random.default_rng(73), 3)
     partials = PartialCorrelations(sigma)
-    g0 = abs(partials.marginal[0][1])
+    g0 = partials.pair_marginal[0]
     g1 = abs(partial_corr_batch(partials.sigma, np.array([[2, 0, 1]]))[0])
-    assert partial_corr_batch(partials.sigma, np.array([[0, 1]])).tobytes() == partials.marginal[0, 1:2].tobytes()
+    r0 = np.abs(partial_corr_batch(partials.sigma, np.array([[0, 1]])))
+    assert r0.tobytes() == partials.pair_marginal[:1].tobytes()
     for gamma, independent in ((g0, True), (np.nextafter(g0, 0.0), False)):
         dec = RankCiDecider(sigma, 50, TestConfig("threshold", gamma=gamma))
         assert dec.marginally_independent(3)[0] is independent  # pair (0, 1)
@@ -218,8 +219,8 @@ def test_level_one_table_holds_kernel_values_without_cholesky(monkeypatch):
     np.fill_diagonal(inexact, 1 - 1e-9)  # validated: the closed forms read no diagonal entry
     table, nonpd = PartialCorrelations(inexact).level_one(first)
     assert table.tobytes() == fits[0][1].tobytes() and nonpd == fits[0][2]
-    for a in range(8):  # level 0 reads the entries
-        assert [math.isnan(x) if a == b else x == sigma[a, b] for b, x in enumerate(partials.marginal[a])] == [True] * 8
+    a, b = np.triu_indices(8, 1)  # level 0 reads the entries
+    assert partials.pair_marginal.tobytes() == np.abs(sigma[a, b]).tobytes() == np.abs(sigma[b, a]).tobytes()
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
@@ -390,9 +391,9 @@ def test_marginally_independent_matches_base_loop(seed, p, degenerate, variant, 
     partials = PartialCorrelations(sigma)
     if variant == "fisher_z":
         config = TestConfig("fisher_z", alpha=10.0 ** (-7.0 * cutoff - 0.5))
-    elif variant == "boundary" and not math.isnan(partials.marginal[p - 2][p - 1]):
-        # a cutoff equal to one |r(u, v | {})|: that pair is independent
-        config = TestConfig("threshold", gamma=abs(partials.marginal[p - 2][p - 1]))
+    elif variant == "boundary" and not math.isnan(partials.pair_marginal[-1]):
+        # a cutoff equal to one |r(u, v | {})|, of the pair (p - 2, p - 1): that pair is independent
+        config = TestConfig("threshold", gamma=partials.pair_marginal[-1])
     else:
         config = TestConfig("threshold", gamma=cutoff)
     batched = RankCiDecider(sigma, n, config)

@@ -21,9 +21,6 @@ from rankpc.graph import (
     shd,
     skeleton,
     unshielded_colliders,
-    _masks,
-    _meek_fixpoint,
-    _pair_states,
 )
 
 from oracles import (
@@ -32,6 +29,7 @@ from oracles import (
     dsep_by_paths,
     random_dag_edges,
     rebuilding_meek_fixpoint,
+    shd_by_pairs,
 )
 
 
@@ -216,26 +214,36 @@ def test_meek_fixpoint_matches_rebuilding_loop(data, p):
     states = {pairs[i]: kinds[i] for i in order if kinds[i] is not None}
     want = dict(states)
     rebuilding_meek_fixpoint(want, p)
-    adj, par, chi, und = masks = _masks(states, p)
-    _meek_fixpoint(*masks)
-    states = _pair_states(states, chi, und)
-    assert list(states.items()) == list(want.items())
+    assert meek_closure(Pdag(p, states)).pair_states() == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), p=st.integers(1, 7))
 def test_directed_cycle_and_text_round_trip_match_oracle(data, p):
+    # the bitmask readers against the input dicts: None leaves a pair out, ABSENT lists it as absent
     pairs = list(combinations(range(p), 2))
-    kinds = data.draw(
-        st.lists(
-            st.sampled_from([None, EdgeState.UNDIRECTED, EdgeState.FORWARD, EdgeState.BACKWARD]),
-            min_size=len(pairs),
-            max_size=len(pairs),
+
+    def draw_states():
+        kinds = data.draw(
+            st.lists(st.sampled_from([None, *EdgeState]), min_size=len(pairs), max_size=len(pairs))
         )
-    )
-    g = Pdag(p, {pair: kind for pair, kind in zip(pairs, kinds) if kind is not None})
-    assert g.has_directed_cycle() == cyclic_by_permutations(g)
+        order = data.draw(st.permutations(range(len(pairs))))
+        return {pairs[i]: kinds[i] for i in order if kinds[i] is not None}
+
+    states, other = draw_states(), draw_states()
+    g, h = Pdag(p, states), Pdag(p, other)
+    assert g.has_directed_cycle() == cyclic_by_permutations(states, p)
     assert pdag_from_text(pdag_to_text(g)) == g
+    want = {pair: states[pair] for pair in sorted(states) if states[pair] != EdgeState.ABSENT}
+    assert list(g.pair_states().items()) == list(want.items())
+    flip = {EdgeState.FORWARD: EdgeState.BACKWARD, EdgeState.BACKWARD: EdgeState.FORWARD}
+    for u, v in pairs:
+        st_uv = states.get((u, v), EdgeState.ABSENT)
+        assert (g.state(u, v), g.state(v, u)) == (st_uv, flip.get(st_uv, st_uv))
+    assert g == Pdag(p, dict(reversed(states.items()))) == Pdag(p, want)
+    dist = shd_by_pairs(states, other)
+    assert shd(g, h) == shd(h, g) == dist
+    assert (g == h) == (dist == 0)
 
 
 def test_shd_frozen_example():
@@ -279,6 +287,12 @@ def test_pdag_state_perspective():
     assert mixed.directed_edges() == [(1, 0), (2, 3)]
     assert repr(mixed) == "Pdag(p=4, [1 -> 0, 1 -- 2, 2 -> 3])"
     assert pdag_from_text("p=4\n1 -> 0\n2 -- 1\n2 -> 3\n") == mixed
+    # pairs are validated as the bitmasks are built: NumPy integers are ints, floats are not
+    assert Pdag(3, {(np.int64(0), np.int64(2)): 2}) == Pdag(3, {(0, 2): EdgeState.FORWARD})
+    with pytest.raises(ValueError):
+        Pdag(3, {(1, 0): EdgeState.FORWARD})
+    with pytest.raises(TypeError):
+        Pdag(3, {(0.0, 1): EdgeState.FORWARD})
 
 
 def test_dag_text_round_trip():

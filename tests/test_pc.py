@@ -336,7 +336,7 @@ def test_orient_colliders_warns_in_pair_order():
     sepsets = {(u, w): () for u in range(6) for w in range(u + 1, 6) if (u, w) not in edges}
     states, warnings = orient_colliders(edges, sepsets, 6)
     want_states, want_warnings = set_orient_colliders(edges, sepsets, 6)
-    assert list(states.items()) == list(want_states.items())
+    assert states == want_states and list(states) == sorted(states)
     assert len(warnings) == 6 and warnings == want_warnings
 
 
@@ -355,7 +355,7 @@ def test_orient_colliders_matches_set_based_loop(data, p):
         sepsets[(u, w)] = tuple(sorted(chosen))
     states, warnings = orient_colliders(edges, sepsets, p)
     want_states, want_warnings = set_orient_colliders(edges, sepsets, p)
-    assert list(states.items()) == list(want_states.items())
+    assert states == want_states and list(states) == sorted(states)
     assert warnings == want_warnings
 
 

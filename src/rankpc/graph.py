@@ -1,16 +1,16 @@
 """Directed acyclic graphs, partially directed graphs, and equivalence-class operations.
 
-Nodes are integers 0..p-1.  A :class:`Dag` stores directed edges; a
-:class:`Pdag` has one state per unordered pair (absent, directed either
-way, or undirected) and is the output type of structure learning.  A Pdag
-stores its pairs as per-node integer bitmasks of adjacent nodes, parents,
-children and undirected neighbours, the one orientation state: collider
-orientation writes it, the orientation closure updates a copy in place,
-and every reader (pair states, cycles, distance, text) reads its bits."""
+Nodes are integers 0..p-1.  Both graph types store per-node integer
+bitmasks: a :class:`Dag` its parents and children, a :class:`Pdag` (one
+state per unordered pair: absent, directed either way, or undirected; the
+output type of structure learning) its adjacent nodes, parents, children
+and undirected neighbours.  Collider orientation writes the Pdag masks, the
+orientation closure updates a copy in place, and every reader (accessors,
+topological order, d-separation, the CPDAG, pair states, cycles, distance,
+text) reads bits."""
 
 from __future__ import annotations
 
-from collections import deque
 from enum import IntEnum
 from functools import lru_cache
 from itertools import combinations
@@ -65,49 +65,46 @@ class Dag:
         Number of nodes; nodes are 0..p-1.
     edges : iterable of (int, int)
         Directed edges (u, v) meaning u -> v.  At most one edge per
-        unordered pair; cycles are rejected.
+        unordered pair; cycles are rejected.  NumPy integers are accepted.
+
+    Stored as ``edges`` and the per-node bitmasks ``par, chi`` of a Pdag:
+    bit u of ``par[v]`` and bit v of ``chi[u]`` is the arrow u -> v.
     """
 
-    __slots__ = ("p", "edges", "_parents", "_children", "_topo")
+    __slots__ = ("p", "edges", "_par", "_chi", "_topo")
 
     def __init__(self, p: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise ValueError(f"node count must be a positive integer, got {p!r}")
-        self.p = p
-        parents: list[list[int]] = [[] for _ in range(p)]
-        children: list[list[int]] = [[] for _ in range(p)]
-        pairs: set[tuple[int, int]] = set()
-        edge_set: set[tuple[int, int]] = set()
+        par, chi = [0] * p, [0] * p
+        edge_list: list[tuple[int, int]] = []
         for u, v in edges:
+            u, v = index(u), index(v)  # a NumPy integer becomes an int, a float raises TypeError
             if not (0 <= u < p and 0 <= v < p):
                 raise ValueError(f"edge ({u}, {v}) out of range for p={p}")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            pair = (u, v) if u < v else (v, u)
-            if pair in pairs:
-                raise ValueError(f"multiple edges between {pair[0]} and {pair[1]}")
-            pairs.add(pair)
-            edge_set.add((u, v))
-            parents[v].append(u)
-            children[u].append(v)
-        self.edges = frozenset(edge_set)
-        self._parents = tuple(tuple(sorted(xs)) for xs in parents)
-        self._children = tuple(tuple(sorted(xs)) for xs in children)
-        self._topo = tuple(_topological_order(p, self._children))
+            if (par[u] | chi[u]) >> v & 1:
+                raise ValueError(f"multiple edges between {min(u, v)} and {max(u, v)}")
+            par[v] |= 1 << u
+            chi[u] |= 1 << v
+            edge_list.append((u, v))
+        self.p, self.edges, self._par, self._chi = p, frozenset(edge_list), par, chi
+        self._topo = tuple(_topological_order(par, chi))
         if len(self._topo) != p:
             raise ValueError("edge set contains a directed cycle")
 
     def parents(self, v: int) -> tuple[int, ...]:
-        return self._parents[v]
+        return tuple(_bits(self._par[v]))
 
     def children(self, v: int) -> tuple[int, ...]:
-        return self._children[v]
+        return tuple(_bits(self._chi[v]))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._parents[v] + self._children[v]))
+        return tuple(_bits(self._par[v] | self._chi[v]))
 
     def is_adjacent(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges or (v, u) in self.edges
+        return bool((self._par[u] | self._chi[u]) >> index(v) & 1)
 
     def topological_order(self) -> tuple[int, ...]:
         return self._topo
@@ -124,25 +121,20 @@ class Dag:
         return f"Dag(p={self.p}, edges={sorted(self.edges)})"
 
 
-def _topological_order(p: int, children) -> list[int]:
-    """Kahn's order of the nodes 0..p-1 under the arrows u -> children[u].
+def _topological_order(par: list[int], chi: list[int]) -> list[int]:
+    """Kahn's order under the arrows u -> (bits of chi[u]), FIFO and lowest bit first.
 
-    Nodes on or downstream of a directed cycle never reach in-degree zero,
-    so the order is shorter than p exactly when the arrows close a cycle.
+    ``par`` is the transpose of ``chi``; its bit counts are the in-degrees.
+    Nodes on or downstream of a directed cycle never reach in-degree zero, so
+    the order is shorter than ``len(chi)`` exactly when the arrows close a cycle.
     """
-    indeg = [0] * p
-    for ws in children:
-        for w in ws:
-            indeg[w] += 1
-    queue = deque(v for v in range(p) if indeg[v] == 0)
-    order: list[int] = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for w in children[u]:
+    indeg = [m.bit_count() for m in par]
+    order = [v for v, k in enumerate(indeg) if not k]
+    for u in order:  # the order is its own FIFO queue
+        for w in _bits(chi[u]):
             indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
+            if not indeg[w]:
+                order.append(w)
     return order
 
 
@@ -197,6 +189,7 @@ class Pdag:
 
     def state(self, u: int, v: int) -> EdgeState:
         """State of the pair, from the perspective (u, v): FORWARD means u -> v."""
+        u, v = index(u), index(v)
         if u == v or not (0 <= u < self.p and 0 <= v < self.p):
             raise ValueError(f"invalid pair ({u}, {v}) for p={self.p}")
         if not self._adj[u] >> v & 1:
@@ -227,7 +220,7 @@ class Pdag:
 
     def has_directed_cycle(self) -> bool:
         """Check the directed subgraph for cycles (well-formed CPDAGs have none)."""
-        return len(_topological_order(self.p, [_bits(m) for m in self._chi])) != self.p
+        return len(_topological_order(self._par, self._chi)) != self.p
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pdag):
@@ -241,7 +234,7 @@ class Pdag:
 
 def degree(dag: Dag) -> int:
     """Maximum number of neighbors (parents plus children) over all nodes."""
-    return max((len(dag.neighbors(v)) for v in range(dag.p)), default=0)
+    return max((pa | ch).bit_count() for pa, ch in zip(dag._par, dag._chi))
 
 
 def skeleton(dag: Dag) -> set[tuple[int, int]]:
@@ -251,52 +244,39 @@ def skeleton(dag: Dag) -> set[tuple[int, int]]:
 
 def unshielded_colliders(dag: Dag) -> set[tuple[int, int, int]]:
     """Triples (u, v, w), u < w, with u -> v <- w and u, w nonadjacent."""
-    out = set()
-    for v in range(dag.p):
-        for u, w in combinations(dag.parents(v), 2):
-            if not dag.is_adjacent(u, w):
-                out.add((u, v, w))
-    return out
+    par, chi = dag._par, dag._chi
+    return {
+        (u, v, w)
+        for v, m in enumerate(par)
+        for u in _bits(m)
+        for w in _bits(m & ~(par[u] | chi[u]) & -(2 << u))
+    }
 
 
-def _reachable(dag: Dag, sources: Iterable[int], blocked: set[int]) -> set[int]:
-    """Nodes connected to ``sources`` by a trail that is active given ``blocked``.
+def _reachable(dag: Dag, sources: int, blocked: int) -> int:
+    """The bitmask of nodes joined to ``sources`` by a trail active given ``blocked``.
 
-    Linear-time search over (node, direction) states: ``up`` marks arrival
-    from a child, ``down`` arrival from a parent.  A collider node passes the
-    trail on to its other parents exactly when it is in ``blocked`` or has a
-    descendant there.
+    A frontier search over (node, direction) states, held as two bitmasks:
+    ``up`` marks arrival from a child, ``down`` arrival from a parent.  A
+    trail goes on to the children of any node outside ``blocked``, and to
+    the parents of a node it entered from a child outside ``blocked``, or
+    from a parent at a collider in ``blocked`` or with a descendant there.
     """
-    anc = set(blocked)
-    stack = list(blocked)
-    while stack:
-        x = stack.pop()
-        for pa in dag.parents(x):
-            if pa not in anc:
-                anc.add(pa)
-                stack.append(pa)
-    UP, DOWN = 0, 1
-    queue = deque((x, UP) for x in sources)
-    visited: set[tuple[int, int]] = set(queue)
-    reached: set[int] = set()
-    while queue:
-        y, d = queue.popleft()
-        if y not in blocked:
-            reached.add(y)
-        moves: list[tuple[int, int]] = []
-        if d == UP and y not in blocked:
-            moves.extend((z, UP) for z in dag.parents(y))
-            moves.extend((z, DOWN) for z in dag.children(y))
-        elif d == DOWN:
-            if y not in blocked:
-                moves.extend((z, DOWN) for z in dag.children(y))
-            if y in anc:
-                moves.extend((z, UP) for z in dag.parents(y))
-        for mv in moves:
-            if mv not in visited:
-                visited.add(mv)
-                queue.append(mv)
-    return reached
+    par, chi = dag._par, dag._chi
+    anc = frontier = blocked  # blocked and its ancestors
+    while frontier:
+        frontier = _union(par, frontier) & ~anc
+        anc |= frontier
+    up = new_up = sources
+    down = new_down = 0
+    while new_up | new_down:
+        new_up, new_down = (
+            _union(par, (new_up & ~blocked) | (new_down & anc)) & ~up,
+            _union(chi, (new_up | new_down) & ~blocked) & ~down,
+        )
+        up |= new_up
+        down |= new_down
+    return (up | down) & ~blocked
 
 
 def d_separated(dag: Dag, u: int, v: int, s: Iterable[int] = ()) -> bool:
@@ -312,13 +292,10 @@ def d_separated_sets(
     dag: Dag, a: Iterable[int], b: Iterable[int], s: Iterable[int] = ()
 ) -> bool:
     """Set-level d-separation: no active trail from any node of a to any of b."""
-    a_set = node_set(a, dag.p)
-    b_set = node_set(b, dag.p)
-    cond = node_set(s, dag.p)
-    if set(a_set) & set(b_set) or set(a_set) & set(cond) or set(b_set) & set(cond):
+    a_m, b_m, s_m = (sum(1 << x for x in node_set(xs, dag.p)) for xs in (a, b, s))
+    if a_m & b_m or a_m & s_m or b_m & s_m:
         raise ValueError("a, b, and s must be pairwise disjoint")
-    reached = _reachable(dag, a_set, set(cond))
-    return not any(x in reached for x in b_set)
+    return not _reachable(dag, a_m, s_m) & b_m
 
 
 def markov_equivalent(a: Dag, b: Dag) -> bool:
@@ -342,6 +319,16 @@ def _bits(m: int) -> list[int]:
     while m:
         out.append((m & -m).bit_length() - 1)
         m &= m - 1
+    return out
+
+
+def _union(rows: list[int], m: int) -> int:
+    """The union of ``rows[x]`` over the nodes x of the bitmask ``m``."""
+    out = 0
+    while m:
+        low = m & -m
+        out |= rows[low.bit_length() - 1]
+        m ^= low
     return out
 
 
@@ -399,13 +386,22 @@ def cpdag(dag: Dag) -> Pdag:
 
     Starts from the skeleton, orients the unshielded colliders, and closes
     under the orientation rules.  Edges left undirected are exactly those
-    whose direction varies across equivalent DAGs.
+    whose direction varies across equivalent DAGs.  Parent u of v is a
+    collider parent when ``par[v]`` has a bit other than u outside ``adj[u]``.
     """
-    states = dict.fromkeys(skeleton(dag), EdgeState.UNDIRECTED)
-    for u, v, w in unshielded_colliders(dag):
-        for a in (u, w):
-            states[(a, v) if a < v else (v, a)] = EdgeState.FORWARD if a < v else EdgeState.BACKWARD
-    return meek_closure(Pdag(dag.p, states))
+    p, par = dag.p, dag._par
+    adj = [pa | ch for pa, ch in zip(par, dag._chi)]
+    c_par, c_chi, und = [0] * p, [0] * p, adj.copy()
+    for v, m in enumerate(par):
+        for u in _bits(m):
+            if m & ~adj[u] & ~(1 << u):
+                c_par[v] |= 1 << u
+                c_chi[u] |= 1 << v
+                und[u] ^= 1 << v
+                und[v] ^= 1 << u
+    masks = adj, c_par, c_chi, und
+    _meek_fixpoint(*masks)
+    return Pdag._adopt(p, masks)
 
 
 def shd(a: Pdag, b: Pdag) -> int:

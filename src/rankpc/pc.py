@@ -17,7 +17,7 @@ from itertools import compress
 from operator import not_
 
 from .citest import CiDecider
-from .graph import EdgeState, Pdag, _bits, _meek_fixpoint, _pairs, pdag_to_text
+from .graph import EdgeState, Pdag, _bits, _meek_fixpoint, _pairs, _union, pdag_to_text
 
 __all__ = [
     "SkeletonResult",
@@ -187,9 +187,7 @@ def _collider_masks(edges: set, sepsets: dict, p: int) -> tuple[tuple[list[int],
     par, chi, und = [0] * p, [0] * p, adj.copy()
     warnings: list[str] = []
     for u in range(p):
-        reach = 0
-        for v in _bits(adj[u]):
-            reach |= adj[v]
+        reach = _union(adj, adj[u])
         for w in _bits(reach & ~adj[u] & -(2 << u)):  # nonadjacent w > u with a common neighbour
             sep = sepsets.get((u, w))
             if sep is None:

@@ -6,6 +6,7 @@ shares code paths with the library routines it validates.
 """
 
 import math
+from collections import deque
 from itertools import combinations, permutations
 
 import numpy as np
@@ -79,8 +80,8 @@ def dsep_by_paths(dag: Dag, x: int, y: int, s) -> bool:
     """
     s = set(s)
     p = dag.p
-    children = {u: set(dag.children(u)) for u in range(p)}
-    nbrs = {u: set(dag.neighbors(u)) for u in range(p)}
+    children = {u: {b for a, b in dag.edges if a == u} for u in range(p)}
+    nbrs = {u: children[u] | {a for a, b in dag.edges if b == u} for u in range(p)}
 
     descendants = {}
     for u in range(p):
@@ -115,6 +116,31 @@ def dsep_by_paths(dag: Dag, x: int, y: int, s) -> bool:
             if w not in path:
                 stack.append((w, path + [w]))
     return True
+
+
+def kahn_order_by_lists(dag: Dag) -> list[int]:
+    """Kahn's topological order from child lists built off ``dag.edges``.
+
+    A FIFO queue started with the sources in ascending order, and each
+    node's children, sorted ascending, released in turn: the order that
+    ``Dag.topological_order`` reports and ``sample_sem`` and the bench
+    digests depend on.
+    """
+    children: list[list[int]] = [[] for _ in range(dag.p)]
+    indeg = [0] * dag.p
+    for u, v in sorted(dag.edges):
+        children[u].append(v)
+        indeg[v] += 1
+    queue = deque(v for v in range(dag.p) if indeg[v] == 0)
+    order = []
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for w in children[u]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return order
 
 
 def _collider_triples(p: int, edges) -> frozenset:

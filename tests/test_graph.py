@@ -24,9 +24,11 @@ from rankpc.graph import (
 )
 
 from oracles import (
+    _collider_triples,
     cpdag_by_enumeration,
     cyclic_by_permutations,
     dsep_by_paths,
+    kahn_order_by_lists,
     random_dag_edges,
     rebuilding_meek_fixpoint,
     shd_by_pairs,
@@ -38,14 +40,18 @@ COLLIDER = Dag(3, [(0, 1), (2, 1)])
 
 
 def test_dag_rejects_cycles_and_duplicates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="directed cycle"):
         Dag(3, [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="multiple edges between 0 and 1"):
         Dag(3, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="multiple edges between 0 and 1"):
+        Dag(3, [(1, 0), (1, 0)])
+    with pytest.raises(ValueError, match="self-loop at node 0"):
         Dag(2, [(0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) out of range for p=2"):
         Dag(2, [(0, 5)])
+    with pytest.raises(TypeError):
+        Dag(2, [(0.0, 1)])
 
 
 def test_dag_accessors():
@@ -57,6 +63,52 @@ def test_dag_accessors():
     assert d.is_adjacent(2, 0)
     topo = d.topological_order()
     assert topo.index(0) < topo.index(2) < topo.index(3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), p=st.integers(1, 90), s=st.sampled_from([0.02, 0.1, 0.3, 0.7])
+)
+def test_dag_readers_match_edge_definitions(seed, p, s):
+    # relabelled, so edges run both ways between labels; p crosses 64 bits
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(p).tolist()
+    edges = sorted((perm[u], perm[v]) for u, v in random_dag_edges(rng, p, s).edges)
+    dag = Dag(p, [edges[i] for i in rng.permutation(len(edges))])
+    assert dag.edges == frozenset(edges)
+    for v in range(p):
+        pa = tuple(sorted(u for u, w in edges if w == v))
+        ch = tuple(sorted(w for u, w in edges if u == v))
+        assert (dag.parents(v), dag.children(v)) == (pa, ch)
+        assert dag.neighbors(v) == tuple(sorted(pa + ch))
+        assert all(dag.is_adjacent(v, w) == (w in pa or w in ch) for w in range(p))
+    assert degree(dag) == max(sum(v in e for e in edges) for v in range(p))
+    assert skeleton(dag) == {(min(e), max(e)) for e in edges}
+    assert unshielded_colliders(dag) == _collider_triples(p, edges)
+    assert list(dag.topological_order()) == kahn_order_by_lists(dag)
+
+
+def test_dag_accepts_numpy_endpoints_past_bit_63():
+    rng = np.random.default_rng(8)
+    p = 70
+    perm = rng.permutation(p).tolist()
+    edges = [(perm[u], perm[v]) for u, v in random_dag_edges(rng, p, 0.06).edges]
+    assert sum(max(e) >= 64 for e in edges) > 10
+    ints = Dag(p, edges)
+    nps = Dag(p, [(np.int64(u), np.int64(v)) for u, v in edges])
+    assert nps == ints and nps.topological_order() == ints.topological_order()
+    for v in range(p):
+        assert nps.parents(v) == ints.parents(v) and nps.children(v) == ints.children(v)
+        assert all(type(x) is int for x in nps.parents(v) + nps.children(v))
+    assert all(nps.is_adjacent(np.int64(u), np.int64(v)) for u, v in edges)
+    assert Dag(p, [(np.int64(0), np.int64(69))]).parents(69) == (0,)
+    assert cpdag(nps) == cpdag(ints)
+    for _ in range(200):
+        u, v, *cond = rng.choice(p, 2 + int(rng.integers(0, 4)), replace=False).tolist()
+        assert d_separated(nps, u, v, cond) == d_separated(ints, u, v, cond)
+        assert d_separated(nps, np.int64(u), np.int64(v), np.array(cond, dtype=np.int64)) == (
+            d_separated(ints, u, v, cond)
+        )
 
 
 def test_degree_star():
@@ -102,27 +154,31 @@ def test_d_separation_validates_arguments():
 
 def test_d_separation_matches_path_enumeration():
     rng = np.random.default_rng(5)
-    checked = 0
+    checked = set_checked = 0
     for _ in range(40):
-        p = int(rng.integers(3, 7))
+        p = int(rng.integers(3, 8))
         dag = random_dag_edges(rng, p, float(rng.choice((0.3, 0.5))))
+        want = {}  # (u, v, s) -> the path oracle, for every pair u < v and every s
         for u in range(p):
             for v in range(u + 1, p):
                 rest = [w for w in range(p) if w not in (u, v)]
                 for size in range(len(rest) + 1):
-                    for s in _subsets(rest, size):
+                    for s in combinations(rest, size):
                         got = d_separated(dag, u, v, s)
-                        want = dsep_by_paths(dag, u, v, s)
-                        assert got == want, (dag, u, v, s)
+                        want[u, v, s] = dsep_by_paths(dag, u, v, s)
+                        assert got == want[u, v, s], (dag, u, v, s)
                         assert d_separated(dag, v, u, s) == got
                         checked += 1
-    assert checked > 2000
-
-
-def _subsets(items, size):
-    from itertools import combinations
-
-    return combinations(items, size)
+        # sets: separated exactly when every pair across them is, given the same s
+        for _ in range(60):
+            role = rng.integers(0, 4, p)  # 0: in a, 1: in b, 2: in s, 3: none
+            a, b, s = (tuple(np.flatnonzero(role == k).tolist()) for k in range(3))
+            if not a or not b:
+                continue
+            pairwise = all(want[min(x, y), max(x, y), s] for x in a for y in b)
+            assert d_separated_sets(dag, a, b, s) == d_separated_sets(dag, b, a, s) == pairwise
+            set_checked += len(a) > 1 or len(b) > 1
+    assert checked > 2000 and set_checked > 500
 
 
 def test_d_separated_sets_matches_pairwise_closure():
@@ -289,6 +345,8 @@ def test_pdag_state_perspective():
     assert pdag_from_text("p=4\n1 -> 0\n2 -- 1\n2 -> 3\n") == mixed
     # pairs are validated as the bitmasks are built: NumPy integers are ints, floats are not
     assert Pdag(3, {(np.int64(0), np.int64(2)): 2}) == Pdag(3, {(0, 2): EdgeState.FORWARD})
+    wide = Pdag(70, {(0, 69): EdgeState.FORWARD})
+    assert wide.state(np.int64(0), np.int64(69)) == EdgeState.FORWARD  # past bit 63
     with pytest.raises(ValueError):
         Pdag(3, {(1, 0): EdgeState.FORWARD})
     with pytest.raises(TypeError):

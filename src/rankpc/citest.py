@@ -103,11 +103,12 @@ class CiDecider:
     and must be symmetric in (u, v); it is the one call that asks a single
     query.  Skeleton search asks each level in bulk:
     ``marginally_independent(p)`` answers level 0 for every pair at once,
-    ``level_one_masks(pairs)`` may answer level 1 as bitmasks, but returns
-    None here, and ``separator_finder(adj, level)`` answers each direction
-    of the levels above.  Here all three ask ``decide`` one set at a time,
-    lazily, so a subclass that defines only ``decide`` runs the same search;
-    ``RankCiDecider`` answers each level from one table.
+    and ``separator_finder(adj, level)`` each direction of every level from
+    1 up.  ``level_one_masks(pairs)`` may answer level 1 as bitmasks
+    instead; it returns None here, which sends level 1 through
+    ``separator_finder(adj, 1)``.  Here both ask ``decide`` one set at a
+    time, lazily, so a subclass that defines only ``decide`` runs the same
+    search; ``RankCiDecider`` answers each level from one table.
     ``max_cond_size`` is the largest usable conditioning-set size (None for
     unbounded); skeleton search will not query beyond it.  Noteworthy events
     are appended to ``warnings``.
@@ -123,11 +124,12 @@ class CiDecider:
 
     def level_one_masks(self, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]] | None:
         """Per pair (a, b), a < b, of ``pairs``, the edges at the start of level 1: the bitmasks
-        of the c that separate a and b and of the non-PD c.  None here."""
+        of the c that separate a and b and of the non-PD c.  None here: skeleton search then asks
+        ``separator_finder(adj, 1)``."""
         return None
 
     def separator_finder(self, adj: Sequence[int], level: int) -> Finder:
-        """Level ``level`` >= 2 of skeleton search over the adjacency bitmasks ``adj`` at its start.
+        """Level ``level`` >= 1 of skeleton search over the adjacency bitmasks ``adj`` at its start.
 
         The returned function takes a direction (a, b) and the bitmask ``cand`` of a's candidates,
         inside adj[a] - {b}.  It returns the separator, the first size-``level`` subset of cand in

@@ -94,17 +94,25 @@ class Dag:
         if len(self._topo) != p:
             raise ValueError("edge set contains a directed cycle")
 
+    def _node(self, v: int) -> int:
+        v = index(v)
+        if not 0 <= v < self.p:
+            raise ValueError(f"node {v} out of range for p={self.p}")
+        return v
+
     def parents(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self._par[v]))
+        return tuple(_bits(self._par[self._node(v)]))
 
     def children(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self._chi[v]))
+        return tuple(_bits(self._chi[self._node(v)]))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        v = self._node(v)
         return tuple(_bits(self._par[v] | self._chi[v]))
 
     def is_adjacent(self, u: int, v: int) -> bool:
-        return bool((self._par[u] | self._chi[u]) >> index(v) & 1)
+        u, v = self._node(u), self._node(v)
+        return bool((self._par[u] | self._chi[u]) >> v & 1)
 
     def topological_order(self) -> tuple[int, ...]:
         return self._topo

@@ -74,90 +74,61 @@ def pc_skeleton(
     deterministic.  By default adjacency sets shrink as edges fall during a
     level (the classic order-dependent behavior); ``stable=True`` freezes the
     neighbor lists at the start of each level instead.  Adjacency is one
-    bitmask per node.  At level 1 the decider may answer every pair at the
-    start of the level, as bitmasks from ``level_one_masks(pairs)``; above
-    it, ``decider.separator_finder(adj, level)`` answers each direction.
+    bitmask per node, and one loop walks every level from 1 up, asking
+    ``decider.separator_finder(adj, level)`` to answer each direction.  At
+    level 1 the decider may instead answer every pair at the start of the
+    level, as bitmasks from ``level_one_masks(pairs)``, which the loop reads
+    inline; the non-PD candidates walked past are passed to ``warn_nonpd``.
 
     The level ceiling is the smallest of ``max_cond`` and the decider's own
-    ``max_cond_size``, when given.
+    ``max_cond_size``, when given; no walk passes level p - 2 anyway.
     """
     if p < 1:
         raise ValueError(f"node count must be positive, got {p}")
     if max_cond is not None and max_cond < 0:
         raise ValueError(f"max_cond must be nonnegative, got {max_cond}")
-    caps = [c for c in (max_cond, decider.max_cond_size) if c is not None]
-    ceiling = min(caps) if caps else None
+    ceiling = min((c for c in (max_cond, decider.max_cond_size) if c is not None), default=p)
     pairs = _pairs(p)
-    if not pairs or (ceiling is not None and ceiling < 0):
+    if not pairs or ceiling < 0:
         return SkeletonResult(p, set(pairs), {}, 0, -1)
     independent = decider.marginally_independent(p)
     sepsets: dict[tuple[int, int], tuple[int, ...]] = dict.fromkeys(compress(pairs, independent), ())
-    pairs = list(compress(pairs, map(not_, independent)))  # then each level's: the last's still adjacent
+    pairs = list(compress(pairs, map(not_, independent)))  # the adjacent pairs, after each level too
     adj = [0] * p
     for u, v in pairs:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     tests_run = len(sepsets) + 2 * len(pairs)
     max_used = 0
-    if (ceiling is None or ceiling >= 1) and max(map(int.bit_count, adj)) > 1:
-        tests_run += _level_one(decider, pairs, adj, sepsets, stable)
-        max_used = 1  # the first pair walked with a neighbour to spare asks a query
-    level = 2
-    while ceiling is None or level <= ceiling:
-        if max(map(int.bit_count, adj)) <= level:
-            break
-        pairs = [(u, v) for u, v in pairs if adj[u] >> v & 1]
+    level = 1
+    while level <= ceiling and max(map(int.bit_count, adj)) > level:
+        max_used = level  # the first direction with a candidate to spare asks before any edge falls
         frozen = adj.copy() if stable else adj
-        find = decider.separator_finder(frozen, level)
-        for u, v in pairs:
+        masks = decider.level_one_masks(pairs) if level == 1 else None
+        find = None if masks else decider.separator_finder(frozen, level)
+        for k, (u, v) in enumerate(pairs):
             for a, b in ((u, v), (v, u)):
                 cand = frozen[a] & ~(1 << b)  # b is in frozen[a], whether frozen or not
                 if cand.bit_count() < level:
                     continue
-                max_used = level
-                asked, sep = find(a, b, cand)
+                if find:
+                    asked, sep = find(a, b, cand)
+                else:  # c in cand from the lowest up: the separator is the lowest bit of hits & cand
+                    hits, nonpd = masks[k]
+                    low = hits & cand & -(hits & cand)
+                    passed = cand & (low - 1)  # every candidate when there is no hit
+                    if nonpd & passed:
+                        decider.warn_nonpd(u, v, nonpd & passed)
+                    asked, sep = passed.bit_count() + (low != 0), (low.bit_length() - 1,) if low else None
                 tests_run += asked
                 if sep is not None:
                     adj[u] ^= 1 << v
                     adj[v] ^= 1 << u
                     sepsets[(u, v)] = sep
                     break
+        pairs = [(u, v) for u, v in pairs if adj[u] >> v & 1]
         level += 1
-    edges = {(u, v) for u, v in pairs if adj[u] >> v & 1}
-    return SkeletonResult(p, edges, sepsets, tests_run, max_used)
-
-
-def _level_one(decider: CiDecider, pairs: list, adj: list[int], sepsets: dict, stable: bool) -> int:
-    """Level 1 of :func:`pc_skeleton` over the adjacent ``pairs``; updates the bitmasks ``adj`` and
-    ``sepsets``, returns tests run.
-
-    Direction a of pair (u, v) asks each c in ``cand = adj(a) - {b}`` from the lowest up: the
-    separator is the lowest bit of ``sep & cand``, and each non-PD bit below it is warned.  A
-    decider without masks is asked ``decide(u, v, (c,))`` for each c in turn, up to the separator.
-    """
-    frozen = adj.copy() if stable else adj
-    masks = decider.level_one_masks(pairs)
-    tests = 0
-    for k, (u, v) in enumerate(pairs):
-        for a, b in ((u, v), (v, u)):
-            cand = frozen[a] & ~(1 << b)
-            if not cand:
-                continue
-            if masks is None:
-                low, nonpd = next((1 << c for c in _bits(cand) if decider.decide(u, v, (c,))), 0), 0
-            else:
-                sep, nonpd = masks[k]
-                low = sep & cand & -(sep & cand)
-            asked = cand & (low - 1)  # every candidate when there is no hit
-            if nonpd & asked:
-                decider.warn_nonpd(u, v, nonpd & asked)
-            tests += asked.bit_count() + (low != 0)
-            if low:
-                adj[u] ^= 1 << v
-                adj[v] ^= 1 << u
-                sepsets[(u, v)] = (low.bit_length() - 1,)
-                break
-    return tests
+    return SkeletonResult(p, set(pairs), sepsets, tests_run, max_used)
 
 
 def orient_colliders(

@@ -65,6 +65,25 @@ def test_dag_accessors():
     assert topo.index(0) < topo.index(2) < topo.index(3)
 
 
+def test_dag_accessors_reject_nodes_out_of_range():
+    # a negative node must not alias one from the end: Dag(3, [(0, 2)]).parents(-1) is not (0,)
+    d = Dag(3, [(0, 2)])
+    for bad in (-1, -3, 3, 7, np.int64(-1), np.int64(3)):
+        for read in (d.parents, d.children, d.neighbors):
+            with pytest.raises(ValueError, match="out of range for p=3"):
+                read(bad)
+        for u, v in ((0, bad), (bad, 0)):
+            with pytest.raises(ValueError, match="out of range for p=3"):
+                d.is_adjacent(u, v)
+    with pytest.raises(TypeError):
+        d.parents(1.0)
+    wide = Dag(70, [(0, 69), (64, 69)])
+    assert wide.parents(np.int64(69)) == (0, 64) and wide.children(np.int64(64)) == (69,)
+    assert wide.neighbors(np.int64(0)) == (69,) and wide.is_adjacent(np.int64(69), np.int64(64))
+    assert not wide.is_adjacent(np.int64(0), np.int64(64))
+    assert all(type(x) is int for x in wide.parents(np.int64(69)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1), p=st.integers(1, 90), s=st.sampled_from([0.02, 0.1, 0.3, 0.7])

@@ -128,8 +128,9 @@ def test_skeleton_matches_naive_oracle(kind, seed, p, degenerate, n, cutoff, sta
 
 
 class UnprefetchedDecider(RankCiDecider):
-    """The rank decider without the level-1 mask sweep or the tables of levels >= 2: from level 1
-    up, one ``decide`` call per subset, each its own kernel call."""
+    """The rank decider without the level-1 mask sweep or the tables of levels >= 2: no masks, so
+    every level from 1 up goes through the base ``separator_finder``, one ``decide`` call per
+    subset, each its own kernel call."""
 
     level_one_masks = CiDecider.level_one_masks
     separator_finder = CiDecider.separator_finder
@@ -148,12 +149,17 @@ class DecideOnly(CiDecider):
         return self.inner.decide(u, v, s)
 
 
-@pytest.mark.parametrize("stable", [False, True])
-def test_block_prefetch_same_result_fewer_kernel_calls(monkeypatch, stable):
+def _seed0_p60_spearman():
+    """A Spearman matrix of f11 data, p=60 and n=1000, whose search reaches level 2 and above."""
     rng = np.random.default_rng(0)
     dag = random_dag(60, 3.0 / 59, rng)
     data = sample_sem(SemModel(dag, random_weights(dag, rng), transform="f11"), 1000, rng)
-    sigma = estimate_correlation_matrix(data, "spearman")
+    return estimate_correlation_matrix(data, "spearman"), data
+
+
+@pytest.mark.parametrize("stable", [False, True])
+def test_block_prefetch_same_result_fewer_kernel_calls(monkeypatch, stable):
+    sigma, data = _seed0_p60_spearman()
     calls = []
     kernel = rankpc.partial.partial_corr_batch
 
@@ -186,6 +192,24 @@ def test_block_prefetch_same_result_fewer_kernel_calls(monkeypatch, stable):
     assert max(fast_calls) <= 4096
     assert builds and sum(n for n, _ in builds) == len(fast_calls)  # every kernel call builds a table
     assert all(n <= -(-rows // 4096) for n, rows in builds)
+
+
+@pytest.mark.parametrize("stable", [False, True])
+def test_rank_level_one_reads_masks_without_a_finder(monkeypatch, stable):
+    # level 1 of the rank decider is read inline from level_one_masks; a finder built for it
+    # costs a closure call per direction
+    sigma, data = _seed0_p60_spearman()
+    levels = []
+    finder = RankCiDecider.separator_finder
+
+    def spied(self, adj, level):
+        levels.append(level)
+        return finder(self, adj, level)
+
+    monkeypatch.setattr(RankCiDecider, "separator_finder", spied)
+    got = run_pc(RankCiDecider(sigma, data.n, TestConfig("fisher_z", alpha=0.01)), 60, stable=stable)
+    assert got.max_cond_used >= 2
+    assert levels == list(range(2, got.max_cond_used + 1))
 
 
 def test_level_one_warns_only_below_the_separator():

@@ -23,8 +23,7 @@ from scipy.special import ndtri
 
 from .correlation import METHODS
 from .graph import Dag, _bits, _pairs, d_separated
-from . import partial  # decide reads the kernel off its module at each call, as the table builds do
-from .partial import NotPositiveDefiniteError, PartialCorrelations, _checked_query
+from .partial import NotPositiveDefiniteError, PartialCorrelations, _query
 
 __all__ = [
     "VARIANTS",
@@ -69,6 +68,8 @@ class TestConfig:
         else:
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise ValueError(f"fisher_z variant needs alpha in (0, 1), got {self.alpha}")
+            if 1.0 - self.alpha / 2.0 == 1.0:  # ndtri(1) is inf: no finite cutoff
+                raise ValueError(f"fisher_z variant needs alpha above 2**-53 (about 1.1e-16), got {self.alpha}")
             if self.gamma is not None:
                 raise ValueError("gamma is meaningless for the fisher_z variant")
 
@@ -256,15 +257,15 @@ class RankCiDecider(CiDecider):
         return find
 
     def decide(self, u: int, v: int, s: Iterable[int] = ()) -> bool:
-        """|r(u, v | S)| <= the cutoff of level |S|, from ``partial_corr_batch`` on the row S + (a, b),
-        a < b.  A non-PD submatrix is dependent, warned."""
-        sigma = self.partials.sigma
-        a, b, cond = _checked_query(sigma.shape[0], u, v, s)
-        gamma = self._cutoff(len(cond))
-        r = abs(float(partial.partial_corr_batch(sigma, np.array([cond + (a, b)]))[0]))
+        """|r(u, v | S)| <= the cutoff of level |S|, from the one query row of ``partial._query``.
+        The cutoff is looked up first, so a level past the last one raises before the kernel runs.
+        A non-PD submatrix is dependent, warned."""
+        s = tuple(s)
+        gamma = self._cutoff(len(s))
+        _, _, cond, r = _query(self.partials.sigma, u, v, s)
         if math.isnan(r):
-            self.warnings.append(self._nonpd_warning(u, v, cond))
-        return r <= gamma
+            self.warnings.append(self._nonpd_warning(int(u), int(v), cond))  # NumPy nodes print as ints
+        return abs(r) <= gamma
 
 
 class OracleDecider(CiDecider):

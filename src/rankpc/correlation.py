@@ -183,7 +183,7 @@ def estimation_tail_bound(method: str, n: int, eps: float) -> float:
     """Evaluate the deviation bound A * exp(-B * n * eps**2) for one estimator."""
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"deviation eps must be positive, got {eps}")
     a, b = tail_bound_constants(method)
     return a * math.exp(-b * n * eps * eps)

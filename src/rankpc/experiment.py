@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -80,7 +81,7 @@ class ExperimentConfig:
             raise ConfigError("need at least one p value")
         if not self.n_values:
             raise ConfigError("need at least one n value")
-        if self.degree <= 0:
+        if not self.degree > 0:
             raise ConfigError(f"expected degree must be positive, got {self.degree}")
         for p in self.p_values:
             if p < 2:
@@ -115,6 +116,10 @@ class ExperimentConfig:
         for v in self.alpha_log10:
             if not v < 0.0:
                 raise ConfigError(f"log10 alpha must be negative, got {v}")
+            try:  # the alpha each fit runs at, checked by the rule of the test it configures
+                TestConfig("fisher_z", alpha=10.0**v)
+            except ValueError as err:
+                raise ConfigError(f"log10 alpha {v}: {err}") from None
         if len(set(self.alpha_log10)) != len(self.alpha_log10):
             raise ConfigError("duplicate alpha values")
         if self.replicates < 1:
@@ -289,16 +294,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     ]
     records: list[ExperimentRecord] = []
     failures: list[str] = []
-    if threads == 1:
-        outcomes = map(_run_replicate, tasks)
+    with nullcontext() if threads == 1 else ProcessPoolExecutor(max_workers=threads) as pool:
+        outcomes = map(_run_replicate, tasks) if pool is None else pool.map(_run_replicate, tasks, chunksize=1)
         for recs, fails in outcomes:
             records.extend(recs)
             failures.extend(fails)
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for recs, fails in pool.map(_run_replicate, tasks, chunksize=1):
-                records.extend(recs)
-                failures.extend(fails)
     records.sort(key=_record_sort_key)
     failures.sort()
     return ExperimentResult(records, failures)

@@ -28,7 +28,6 @@ __all__ = [
     "unshielded_colliders",
     "d_separated",
     "d_separated_sets",
-    "markov_equivalent",
     "cpdag",
     "meek_closure",
     "shd",
@@ -206,16 +205,6 @@ class Pdag:
             return EdgeState.UNDIRECTED
         return EdgeState.FORWARD if self._chi[u] >> v & 1 else EdgeState.BACKWARD
 
-    def is_adjacent(self, u: int, v: int) -> bool:
-        return self.state(u, v) != EdgeState.ABSENT
-
-    def has_arrow(self, a: int, b: int) -> bool:
-        """True when the directed edge a -> b is present."""
-        return self.state(a, b) == EdgeState.FORWARD
-
-    def directed_edges(self) -> list[tuple[int, int]]:
-        return [(a, b) for a, m in enumerate(self._chi) for b in _bits(m)]
-
     def pair_states(self) -> dict[tuple[int, int], EdgeState]:
         """The state of each adjacent pair u < v, in lexicographic order."""
         und, chi = self._und, self._chi
@@ -306,13 +295,6 @@ def d_separated_sets(
     return not _reachable(dag, a_m, s_m) & b_m
 
 
-def markov_equivalent(a: Dag, b: Dag) -> bool:
-    """Same skeleton and same unshielded colliders."""
-    if a.p != b.p:
-        raise ValueError(f"node counts differ: {a.p} != {b.p}")
-    return skeleton(a) == skeleton(b) and unshielded_colliders(a) == unshielded_colliders(b)
-
-
 # -- Orientation closure -----------------------------------------------------
 
 @lru_cache(maxsize=8)
@@ -394,7 +376,8 @@ def cpdag(dag: Dag) -> Pdag:
 
     Starts from the skeleton, orients the unshielded colliders, and closes
     under the orientation rules.  Edges left undirected are exactly those
-    whose direction varies across equivalent DAGs.  Parent u of v is a
+    whose direction varies across equivalent DAGs, so two DAGs are Markov
+    equivalent exactly when their CPDAGs are equal.  Parent u of v is a
     collider parent when ``par[v]`` has a bit other than u outside ``adj[u]``.
     """
     p, par = dag.p, dag._par

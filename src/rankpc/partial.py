@@ -200,13 +200,15 @@ class PartialCorrelations:
         return self._tables[level]
 
 
-def _checked_query(p: int, u: int, v: int, s: Iterable[int]) -> tuple[int, int, tuple[int, ...]]:
-    """(a, b, S), a < b, S sorted; ``ValueError`` unless u, v and S are distinct nodes below p."""
-    a, b = node_set((u, v), p)
-    cond = node_set(s, p)
+def _query(mat: np.ndarray, u: int, v: int, s: Iterable[int]) -> tuple[int, int, tuple[int, ...], float]:
+    """(a, b, S, r(a, b | S)), a < b, S sorted, r NaN where the submatrix is not PD: one
+    ``partial_corr_batch`` call on the row S + (a, b) of the validated matrix ``mat``.
+    ``ValueError`` unless u, v and S are distinct nodes of ``mat``."""
+    a, b = node_set((u, v), mat.shape[0])
+    cond = node_set(s, mat.shape[0])
     if a in cond or b in cond:
         raise ValueError("u and v must not belong to the conditioning set")
-    return a, b, cond
+    return a, b, cond, float(partial_corr_batch(mat, np.array([cond + (a, b)]))[0])
 
 
 def partial_corr_inverse(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:
@@ -215,9 +217,7 @@ def partial_corr_inverse(sigma, u: int, v: int, s: Iterable[int] = ()) -> float:
     Raises :class:`NotPositiveDefiniteError`, carrying the index set, when the
     (S, u, v) submatrix is not positive definite; no regularization is applied.
     """
-    mat = validate_correlation_matrix(sigma)
-    a, b, cond = _checked_query(mat.shape[0], u, v, s)
-    r = float(partial_corr_batch(mat, np.array([cond + (a, b)]))[0])
+    a, b, cond, r = _query(validate_correlation_matrix(sigma), u, v, s)
     if math.isnan(r):
         raise NotPositiveDefiniteError((a, b) + cond)
     return r
@@ -287,7 +287,7 @@ class BoundInputs:
     lam: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+        if not (self.a > 0 and self.b > 0):
             raise ValueError(f"constants must be positive, got a={self.a}, b={self.b}")
         if self.p < 1:
             raise ValueError(f"p must be positive, got {self.p}")

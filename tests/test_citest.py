@@ -11,7 +11,12 @@ import rankpc.partial
 from rankpc.citest import CiDecider, OracleDecider, RankCiDecider, TestConfig, gamma_threshold
 from rankpc.correlation import estimate_correlation_matrix
 from rankpc.graph import Dag, d_separated
-from rankpc.partial import PartialCorrelations, partial_corr_batch
+from rankpc.partial import (
+    NotPositiveDefiniteError,
+    PartialCorrelations,
+    partial_corr_batch,
+    partial_corr_inverse,
+)
 from rankpc.simulate import SemModel, random_dag, random_weights, sample_sem
 
 from oracles import fisher_z_decide, halving_partial_corr_batch, partial_corr_recursive, random_correlation
@@ -30,6 +35,9 @@ def test_config_validation():
         TestConfig("threshold", gamma=0.2, alpha=0.05)
     with pytest.raises(ValueError):
         TestConfig("fisher_z", alpha=0.0)
+    with pytest.raises(ValueError, match="1.1e-16"):
+        TestConfig("fisher_z", alpha=1e-16)  # 1 - alpha/2 rounds to 1
+    assert all(map(math.isfinite, RankCiDecider(np.eye(3), 100, TestConfig("fisher_z", alpha=1e-15)).cutoffs))
     with pytest.raises(ValueError):
         TestConfig("fisher_z", alpha=0.05, gamma=0.1)
     with pytest.raises(ValueError):
@@ -177,6 +185,8 @@ def test_decide_checks_its_nodes(query):
         with pytest.raises(ValueError):
             dec.decide(*query)
         assert dec.warnings == []
+    with pytest.raises(ValueError):  # the same checked query row
+        partial_corr_inverse(sigma, *query)
 
 
 NONPD_BLOCK = np.array(
@@ -321,6 +331,26 @@ def test_rank_decider_nonpd_submatrix_is_dependent_with_warning():
     assert not dec.decide(0, 1, (2,))
     assert len(dec.warnings) == 1
     assert "dependent by default" in dec.warnings[0]
+    # partial_corr_inverse reads the same query row: it raises exactly where decide warns,
+    # carrying (a, b) + S as Python ints
+    raised = 0
+    for u, v in permutations(range(3), 2):
+        for s in ((), tuple(sorted({0, 1, 2} - {u, v}))):
+            before = len(dec.warnings)
+            dec.decide(np.int64(u), np.int64(v), s)
+            try:
+                partial_corr_inverse(NONPD_BLOCK, np.int64(u), np.int64(v), [np.int64(c) for c in s])
+                nonpd = False
+            except NotPositiveDefiniteError as err:
+                assert err.indices == (min(u, v), max(u, v)) + s
+                assert all(type(i) is int for i in err.indices)
+                nonpd = True
+            assert (len(dec.warnings) > before) == nonpd
+            raised += nonpd
+    assert raised == 6  # every level-1 query spans the whole indefinite block
+    assert dec.warnings[-1] == (
+        "dependent by default for (2, 1 | (0,)): submatrix over indices (1, 2, 0) is not positive definite"
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -333,7 +363,7 @@ def test_rank_decider_nonpd_submatrix_is_dependent_with_warning():
     n=st.integers(20, 1000),
     cutoff=st.floats(0.0, 1.0),
 )
-def test_first_independent_matches_decide_loop(seed, p, level, nonpd, variant, n, cutoff):
+def test_level_routes_match_decide_loop(seed, p, level, nonpd, variant, n, cutoff):
     # the first separating subset of one direction on the complete graph, from the bulk route of
     # its level (marginal entries, level-1 masks, the level table), against decide asked over the
     # same sorted subsets in order; warnings too, and the same queries asked again

@@ -210,6 +210,8 @@ def test_estimation_tail_bound_value_and_validation():
         estimation_tail_bound("kendall", 0, 0.3)
     with pytest.raises(ValueError):
         estimation_tail_bound("kendall", 100, 0.0)
+    with pytest.raises(ValueError):
+        estimation_tail_bound("kendall", 100, math.nan)
 
 
 def test_tail_bound_smoke_on_independent_data():

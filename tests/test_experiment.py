@@ -72,6 +72,7 @@ def test_config_validation_errors():
         dict(good, n_values=(3,)),
         dict(good, n_values=(100, 100)),
         dict(good, degree=0.0),
+        dict(good, degree=math.nan),
         dict(good, degree=6.0),  # d >= p is impossible
         dict(good, regimes=("weird",)),
         dict(good, regimes=("normal", "normal")),
@@ -79,6 +80,8 @@ def test_config_validation_errors():
         dict(good, methods=()),
         dict(good, alpha_log10=()),
         dict(good, alpha_log10=(0.0,)),
+        dict(good, alpha_log10=(-16.0,)),  # 1 - alpha/2 rounds to 1, so no fit has a finite cutoff
+        dict(good, alpha_log10=(-2.0, -math.inf)),
         dict(good, alpha_log10=(-1.0, -1.0)),
         dict(good, replicates=0),
         dict(good, seed=-1),
@@ -87,6 +90,8 @@ def test_config_validation_errors():
     for kwargs in bad_cases:
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
+    tiny = run_experiment(mini_config(replicates=1, alpha_log10=(-15.0,)))  # still a finite cutoff
+    assert tiny.records and tiny.failures == []
 
 
 def test_parse_config_round_trip():
@@ -174,7 +179,7 @@ def test_shared_partials_match_a_fresh_decider_per_alpha(monkeypatch):
             alpha_log10=alpha_log10,
         )
         shared = run_experiment(cfg)
-        # a plain matrix makes every RankCiDecider build its own memo
+        # a plain matrix makes every RankCiDecider build its own tables
         with monkeypatch.context() as m:
             m.setattr(experiment, "PartialCorrelations", np.asarray)
             fresh = run_experiment(cfg)

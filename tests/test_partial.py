@@ -231,6 +231,8 @@ def test_bound_inputs_validation():
     for bad in (
         dict(good, a=0.0),
         dict(good, b=-1.0),
+        dict(good, a=math.nan),
+        dict(good, b=math.nan),
         dict(good, p=0),
         dict(good, q=1),
         dict(good, n=4),

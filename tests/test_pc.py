@@ -127,7 +127,7 @@ def test_skeleton_matches_naive_oracle(kind, seed, p, degenerate, n, cutoff, sta
     assert getattr(fast, "calls", None) == getattr(naive, "calls", None)
 
 
-class UnprefetchedDecider(RankCiDecider):
+class PerQueryRankDecider(RankCiDecider):
     """The rank decider without the level-1 mask sweep or the tables of levels >= 2: no masks, so
     every level from 1 up goes through the base ``separator_finder``, one ``decide`` call per
     subset, each its own kernel call."""
@@ -158,7 +158,7 @@ def _seed0_p60_spearman():
 
 
 @pytest.mark.parametrize("stable", [False, True])
-def test_block_prefetch_same_result_fewer_kernel_calls(monkeypatch, stable):
+def test_level_tables_same_result_fewer_kernel_calls(monkeypatch, stable):
     sigma, data = _seed0_p60_spearman()
     calls = []
     kernel = rankpc.partial.partial_corr_batch
@@ -185,7 +185,7 @@ def test_block_prefetch_same_result_fewer_kernel_calls(monkeypatch, stable):
         result = run_pc(cls(sigma, data.n, TestConfig("fisher_z", alpha=0.01)), 60, stable=stable)
         return result, list(calls)
 
-    (fast, fast_calls), (slow, slow_calls) = learn(RankCiDecider), learn(UnprefetchedDecider)
+    (fast, fast_calls), (slow, slow_calls) = learn(RankCiDecider), learn(PerQueryRankDecider)
     assert fast == slow  # pdag, sepsets, tests_run, max_cond_used and warnings
     assert fast.max_cond_used >= 2
     assert len(fast_calls) <= 0.6 * len(slow_calls)
@@ -217,7 +217,7 @@ def test_level_one_warns_only_below_the_separator():
     sigma = np.array([[1, 0.64, 0.8, 0.9], [0.64, 1, 0.8, -0.9], [0.8, 0.8, 1, 0], [0.9, -0.9, 0, 1]])
     config = TestConfig("fisher_z", alpha=0.01)
     got = run_pc(RankCiDecider(sigma, 1000, config), 4)
-    assert got == run_pc(UnprefetchedDecider(sigma, 1000, config), 4)
+    assert got == run_pc(PerQueryRankDecider(sigma, 1000, config), 4)
     assert got.sepsets[(0, 1)] == (2,)
     assert got.warnings and not any("(0, 1 | (3,))" in w for w in got.warnings)
 
@@ -251,14 +251,14 @@ def test_closed_form_levels_match_per_query_decider(seed, p, degenerate, variant
         config = TestConfig("threshold", gamma=cutoff)
     for stable in (False, True):
         got = run_pc(RankCiDecider(sigma, n, config), p, max_cond=max_cond, stable=stable)
-        assert got == run_pc(UnprefetchedDecider(sigma, n, config), p, max_cond=max_cond, stable=stable)
+        assert got == run_pc(PerQueryRankDecider(sigma, n, config), p, max_cond=max_cond, stable=stable)
         decider = DecideOnly(RankCiDecider(sigma, n, config))
         assert got == run_pc(decider, p, max_cond=max_cond, stable=stable)  # pdag, sepsets, counts, warnings
         assert decider.calls == got.tests_run
 
 
 @pytest.mark.parametrize("stable", [False, True])
-def test_sparse_first_shared_memo_matches_fresh_deciders(stable):
+def test_sparse_first_shared_tables_match_fresh_deciders(stable):
     # Sparsest alpha first, so each denser fit finds some pairs' level-1 rows
     # filled only for the neighbours an earlier fit had.
     sigma = random_correlation(np.random.default_rng(5), 12)
@@ -302,7 +302,7 @@ def test_shared_level_two_table_reused_and_rebuilt(monkeypatch, stable):
             config = TestConfig("fisher_z", alpha=alpha)
             shared = run_pc(RankCiDecider(partials, 60, config), 12, stable=stable)
             assert shared == run_pc(RankCiDecider(sigma, 60, config), 12, stable=stable)
-            assert shared == run_pc(UnprefetchedDecider(sigma, 60, config), 12, stable=stable)
+            assert shared == run_pc(PerQueryRankDecider(sigma, 60, config), 12, stable=stable)
         assert built[0] and not all(built)  # a build, then a reuse
         if order == alphas:
             assert any(built[1:])  # and a rebuild
@@ -418,7 +418,7 @@ def test_run_pc_chain_gives_undirected_chain():
 def test_run_pc_collider_preserved():
     res = run_pc(OracleDecider(COLLIDER), 3)
     assert res.pdag == cpdag(COLLIDER)
-    assert res.pdag.has_arrow(0, 1) and res.pdag.has_arrow(2, 1)
+    assert res.pdag.state(0, 1) == EdgeState.FORWARD and res.pdag.state(2, 1) == EdgeState.FORWARD
 
 
 def test_run_pc_empty_graph():

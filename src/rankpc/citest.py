@@ -19,8 +19,8 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._normal import ndtri
 from .correlation import METHODS
 from .graph import Dag, _bits, _pairs, d_separated
 from .partial import NotPositiveDefiniteError, PartialCorrelations, _query
@@ -86,6 +86,12 @@ def gamma_threshold(n: int, s_size: int, z: float) -> float:
     if m < 1:
         raise ValueError(f"need n - s_size - 3 >= 1, got n={n}, s_size={s_size}")
     return _z_cutoffs(n, z, range(s_size, s_size + 1))[0]
+
+
+@lru_cache(maxsize=64)
+def _two_sided_z(alpha: float) -> float:
+    """The z of level ``alpha`` for :func:`gamma_threshold`: twice the normal quantile at 1 - alpha/2."""
+    return 2.0 * ndtri(1.0 - alpha / 2.0)
 
 
 @lru_cache(maxsize=64)
@@ -183,8 +189,7 @@ class RankCiDecider(CiDecider):
         p, n = self.partials.sigma.shape[0], int(n)
         if config.variant == "fisher_z":
             self.max_cond_size = n - 4
-            z = 2.0 * float(ndtri(1.0 - config.alpha / 2.0))
-            self.cutoffs = list(_z_cutoffs(n, z, range(min(p, n - 3))))
+            self.cutoffs = list(_z_cutoffs(n, _two_sided_z(config.alpha), range(min(p, n - 3))))
         else:
             self.max_cond_size = None
             self.cutoffs = [float(config.gamma)] * p

@@ -12,8 +12,8 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr
 from .correlation import Dataset, _finish
 from .graph import Dag, _pairs
 
@@ -113,7 +113,7 @@ def _implied_raw_covariance(model: SemModel) -> np.ndarray:
     p = model.dag.p
     order = list(model.dag.topological_order())
     w_topo = model.weights[np.ix_(order, order)]  # strictly upper triangular
-    # SciPy ships its own OpenBLAS and thread pool; NumPy's LAPACK keeps the simulator's BLAS in one pool
+    # NumPy's LAPACK, not scipy.linalg: SciPy ships its own OpenBLAS, with a second thread pool
     binv = np.linalg.inv(np.eye(p) - w_topo)
     cov_topo = binv.T @ binv
     cov = np.empty((p, p))

@@ -202,15 +202,20 @@ def test_implied_covariance_equals_triangular_solve_bitwise(seed, p, s):
     assert np.array_equal(warped.values, f11_transform(ndtr(plain.values / sd)))
 
 
-def test_simulation_never_imports_scipy_linalg():
-    # SciPy's OpenBLAS keeps a second thread pool; the simulator must stay on NumPy's BLAS
+def test_runtime_never_imports_scipy():
+    # SciPy is a test dependency only: its import costs most of a cold start, and its own OpenBLAS
+    # would start a second thread pool
     code = (
-        "import sys, numpy as np, rankpc\n"
+        "import sys, numpy as np, rankpc, rankpc.cli\n"
+        "from rankpc import RankCiDecider, TestConfig, estimate_correlation_matrix, run_pc\n"
         "from rankpc.simulate import SemModel, random_dag, random_weights, sample_sem\n"
         "rng = np.random.default_rng(0)\n"
         "dag = random_dag(100, 3.0 / 99.0, rng)\n"
-        "sample_sem(SemModel(dag, random_weights(dag, rng), transform='f11'), 200, rng)\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
+        "data = sample_sem(SemModel(dag, random_weights(dag, rng), transform='f11'), 200, rng)\n"
+        "sigmas = [estimate_correlation_matrix(data, m) for m in ('pearson', 'spearman', 'kendall')]\n"
+        "run_pc(RankCiDecider(sigmas[1], data.n, TestConfig('fisher_z', alpha=0.01)), data.p)\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

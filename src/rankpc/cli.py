@@ -21,6 +21,7 @@ from .citest import OracleDecider
 from .experiment import (
     ConfigError,
     ExperimentConfig,
+    _replicate_cells,
     _replicate_model,
     load_config,
     records_from_csv,
@@ -107,25 +108,22 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> list[Path]:
     manifest_lines.append(f"seed={config.seed}")
     manifest_lines.append(f"degree={format(config.degree, '.17g')}")
     manifest_lines.append(f"replicates={config.replicates}")
-    for regime in config.regimes:
-        for p in config.p_values:
-            for n in config.n_values:
-                for rep in range(config.replicates):
-                    seed, model, data = _replicate_model(config, regime, p, n, rep)
-                    stem = f"{regime}_p{p}_n{n}_r{rep}"
-                    data_path = out / f"data_{stem}.csv"
-                    model_path = out / f"model_{stem}.txt"
-                    data.to_csv(data_path)
-                    model_path.write_text(sem_to_text(model))
-                    written.extend([data_path, model_path])
-                    truth = pdag_to_text(cpdag(model.dag)).rstrip("\n").replace("\n", ";")
-                    manifest_lines.append(f"[replicate {stem}]")
-                    manifest_lines.append(f"seed={seed}")
-                    manifest_lines.append(f"dataset={data_path.name}")
-                    manifest_lines.append(f"model={model_path.name}")
-                    manifest_lines.append(f"noise={model.noise}")
-                    manifest_lines.append(f"transform={model.transform}")
-                    manifest_lines.append(f"cpdag={truth}")
+    for regime, p, n, rep in _replicate_cells(config):
+        seed, model, data = _replicate_model(config, regime, p, n, rep)
+        stem = f"{regime}_p{p}_n{n}_r{rep}"
+        data_path = out / f"data_{stem}.csv"
+        model_path = out / f"model_{stem}.txt"
+        data.to_csv(data_path)
+        model_path.write_text(sem_to_text(model))
+        written.extend([data_path, model_path])
+        truth = pdag_to_text(cpdag(model.dag)).rstrip("\n").replace("\n", ";")
+        manifest_lines.append(f"[replicate {stem}]")
+        manifest_lines.append(f"seed={seed}")
+        manifest_lines.append(f"dataset={data_path.name}")
+        manifest_lines.append(f"model={model_path.name}")
+        manifest_lines.append(f"noise={model.noise}")
+        manifest_lines.append(f"transform={model.transform}")
+        manifest_lines.append(f"cpdag={truth}")
     manifest = out / "manifest.txt"
     manifest.write_text("\n".join(manifest_lines) + "\n")
     written.append(manifest)

@@ -211,13 +211,14 @@ def _rank_columns(values: np.ndarray, where: Sequence[str] | None = None) -> np.
 
 
 def _spearman_rho_matrix(rank_cols: np.ndarray) -> np.ndarray:
-    """Spearman rho of every column pair of an n x p rank matrix."""
+    """Spearman rho of every column pair of an n x p rank matrix, correctly rounded.
+
+    rho = 3 c_k^T c_l / (n(n^2 - 1)) over the centred ranks c = 2R - (n + 1), and
+    c_k^T c_l = 4 R_k^T R_l - n(n + 1)^2 is an exact integer while n < 2**17.
+    """
     n = rank_cols.shape[0]
     r = rank_cols.astype(float)
-    cross = r.T @ r
-    sum_sq = n * (n + 1) * (2 * n + 1) / 6.0
-    ssd = 2.0 * sum_sq - 2.0 * cross
-    return 1.0 - 6.0 * ssd / (n * (n * n - 1))
+    return 3.0 * (4.0 * (r.T @ r) - n * (n + 1) ** 2) / (n * (n * n - 1))
 
 
 def _kendall_tau_matrix(rank_cols: np.ndarray) -> np.ndarray:

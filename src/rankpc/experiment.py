@@ -18,6 +18,7 @@ import configparser
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from itertools import product
 from operator import attrgetter
 from pathlib import Path
 from time import perf_counter
@@ -49,19 +50,29 @@ __all__ = [
     "write_plot_data",
 ]
 
-REGIMES = ("normal", "f11", "contaminated")
-
+# regime -> (noise, transform) of the model it samples from
 _REGIME_MODEL = {
     "normal": ("standard_normal", "identity"),
     "f11": ("standard_normal", "f11"),
     "contaminated": ("cauchy_mixture", "identity"),
 }
+REGIMES = tuple(_REGIME_MODEL)
 
 DEFAULT_ALPHA_LOG10 = (-7.0, -6.0, -5.0, -4.25, -3.5, -2.75, -2.0, -1.5, -1.0, -0.75)
 
 
 class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
+
+
+# list field of ExperimentConfig -> (what one entry is called, what several are)
+_LIST_FIELDS = {
+    "p_values": ("p value", "p values"),
+    "n_values": ("n value", "n values"),
+    "regimes": ("regime", "regimes"),
+    "methods": ("method", "methods"),
+    "alpha_log10": ("alpha", "alpha values"),
+}
 
 
 @dataclass(frozen=True)
@@ -77,10 +88,12 @@ class ExperimentConfig:
     max_cond: int | None = None
 
     def __post_init__(self):
-        if not self.p_values:
-            raise ConfigError("need at least one p value")
-        if not self.n_values:
-            raise ConfigError("need at least one n value")
+        for field, (one, several) in _LIST_FIELDS.items():
+            values = getattr(self, field)
+            if not values:
+                raise ConfigError(f"need at least one {one}")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"duplicate {several}")
         if not self.degree > 0:
             raise ConfigError(f"expected degree must be positive, got {self.degree}")
         for p in self.p_values:
@@ -90,29 +103,13 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"expected degree {self.degree} impossible at p={p} (max {p - 1})"
                 )
-        if len(set(self.p_values)) != len(self.p_values):
-            raise ConfigError("duplicate p values")
         for n in self.n_values:
             if n < 4:
                 raise ConfigError(f"n must be at least 4 for the z test, got {n}")
-        if len(set(self.n_values)) != len(self.n_values):
-            raise ConfigError("duplicate n values")
-        if not self.regimes:
-            raise ConfigError("need at least one regime")
-        for r in self.regimes:
-            if r not in REGIMES:
-                raise ConfigError(f"unknown regime {r!r}; expected one of {REGIMES}")
-        if len(set(self.regimes)) != len(self.regimes):
-            raise ConfigError("duplicate regimes")
-        if not self.methods:
-            raise ConfigError("need at least one method")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ConfigError("duplicate methods")
-        if not self.alpha_log10:
-            raise ConfigError("need at least one alpha")
+        for kind, names, known in (("regime", self.regimes, REGIMES), ("method", self.methods, METHODS)):
+            for name in names:
+                if name not in known:
+                    raise ConfigError(f"unknown {kind} {name!r}; expected one of {known}")
         for v in self.alpha_log10:
             if not v < 0.0:
                 raise ConfigError(f"log10 alpha must be negative, got {v}")
@@ -120,8 +117,6 @@ class ExperimentConfig:
                 TestConfig("fisher_z", alpha=10.0**v)
             except ValueError as err:
                 raise ConfigError(f"log10 alpha {v}: {err}") from None
-        if len(set(self.alpha_log10)) != len(self.alpha_log10):
-            raise ConfigError("duplicate alpha values")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be at least 1, got {self.replicates}")
         if self.seed < 0:
@@ -130,27 +125,20 @@ class ExperimentConfig:
             raise ConfigError(f"max_cond must be nonnegative, got {self.max_cond}")
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split())
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split())
-
-
-def _names(text: str) -> tuple[str, ...]:
-    return tuple(text.split())
+def _list(cast):
+    """Parser of a whitespace-separated list, each entry read by ``cast``."""
+    return lambda text: tuple(map(cast, text.split()))
 
 
 _REQUIRED_KEYS = ("p", "n", "degree")
 # config key -> (ExperimentConfig field, parser, what the value must be)
 _KEYS = {
-    "p": ("p_values", _ints, "a list of integers"),
-    "n": ("n_values", _ints, "a list of integers"),
+    "p": ("p_values", _list(int), "a list of integers"),
+    "n": ("n_values", _list(int), "a list of integers"),
     "degree": ("degree", float, "a number"),
-    "regimes": ("regimes", _names, "a list of names"),
-    "methods": ("methods", _names, "a list of names"),
-    "alpha_log10": ("alpha_log10", _floats, "a list of numbers"),
+    "regimes": ("regimes", _list(str), "a list of names"),
+    "methods": ("methods", _list(str), "a list of names"),
+    "alpha_log10": ("alpha_log10", _list(float), "a list of numbers"),
     "replicates": ("replicates", int, "an integer"),
     "seed": ("seed", int, "an integer"),
     "max_cond": ("max_cond", int, "an integer"),
@@ -211,6 +199,11 @@ class ExperimentRecord:
 class ExperimentResult:
     records: list[ExperimentRecord]
     failures: list[str]
+
+
+def _replicate_cells(config: ExperimentConfig):
+    """Every (regime, p, n, replicate) of the grid, the regime varying slowest."""
+    return product(config.regimes, config.p_values, config.n_values, range(config.replicates))
 
 
 def _replicate_model(config: ExperimentConfig, regime: str, p: int, n: int, rep: int):
@@ -285,13 +278,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     """
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
-    tasks = [
-        (config, regime, p, n, rep)
-        for regime in config.regimes
-        for p in config.p_values
-        for n in config.n_values
-        for rep in range(config.replicates)
-    ]
+    tasks = [(config, *cell) for cell in _replicate_cells(config)]
     records: list[ExperimentRecord] = []
     failures: list[str] = []
     with nullcontext() if threads == 1 else ProcessPoolExecutor(max_workers=threads) as pool:
@@ -371,14 +358,12 @@ def summarize(records) -> list[SummaryRow]:
         key = (r.p, r.n, r.d, r.regime, r.method)
         cells.setdefault(key, {}).setdefault(r.alpha, []).append(r.shd)
     rows = []
-    for key in sorted(cells):
-        by_alpha = cells[key]
+    for key, by_alpha in sorted(cells.items()):
         scored = sorted(
             (sum(shds) / len(shds), alpha, len(shds)) for alpha, shds in by_alpha.items()
         )
         mean_shd, best_alpha, count = scored[0]
-        p, n, d, regime, method = key
-        rows.append(SummaryRow(p, n, d, regime, method, best_alpha, mean_shd, count))
+        rows.append(SummaryRow(*key, best_alpha, mean_shd, count))
     return rows
 
 

@@ -4,6 +4,7 @@ Each test prints a single 'criterion N (...): PASS/FAIL' line so the suite's
 verdict can be read off the run log directly.
 """
 
+import hashlib
 import math
 import time
 
@@ -19,7 +20,7 @@ from rankpc.correlation import (
     sine_transform_spearman,
     spearman_rho,
 )
-from rankpc.experiment import ExperimentConfig, run_experiment, summarize
+from rankpc.experiment import ExperimentConfig, records_to_csv, run_experiment, summarize
 from rankpc.graph import cpdag, degree
 from rankpc.partial import (
     BoundInputs,
@@ -201,7 +202,11 @@ def test_criterion_5_test_equivalence():
     )
 
 
-def test_criterion_6_comparative_study():
+# sha256 of the criterion-6 records.csv lines without runtime_ms, one "\n" after each
+CRITERION_6_RECORDS = "8faf0e98e9da53d1f64d098fbd180a1a590c158bec69efd5ce1a3c357db89cba"
+
+
+def test_criterion_6_comparative_study(tmp_path):
     start = time.perf_counter()
     config = ExperimentConfig(
         p_values=(10,),
@@ -214,6 +219,9 @@ def test_criterion_6_comparative_study():
     )
     result = run_experiment(config)
     assert result.failures == []
+    records_to_csv(result.records, tmp_path / "records.csv")
+    cut = [ln.rsplit(",", 1)[0] for ln in (tmp_path / "records.csv").read_text().splitlines()]
+    assert hashlib.sha256("".join(ln + "\n" for ln in cut).encode()).hexdigest() == CRITERION_6_RECORDS
     shd = {(row.regime, row.method): row.mean_shd for row in summarize(result.records)}
     elapsed = time.perf_counter() - start
     normal_gap = abs(shd[("normal", "spearman")] - shd[("normal", "pearson")])

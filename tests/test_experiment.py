@@ -64,32 +64,48 @@ def test_default_alpha_grid():
 def test_config_validation_errors():
     good = dict(p_values=(6,), n_values=(100,), degree=2.0)
     ExperimentConfig(**good)
+    # one fault per config, with the exact message it raises
     bad_cases = [
-        dict(good, p_values=()),
-        dict(good, p_values=(1,)),
-        dict(good, p_values=(6, 6)),
-        dict(good, n_values=()),
-        dict(good, n_values=(3,)),
-        dict(good, n_values=(100, 100)),
-        dict(good, degree=0.0),
-        dict(good, degree=math.nan),
-        dict(good, degree=6.0),  # d >= p is impossible
-        dict(good, regimes=("weird",)),
-        dict(good, regimes=("normal", "normal")),
-        dict(good, methods=("ols",)),
-        dict(good, methods=()),
-        dict(good, alpha_log10=()),
-        dict(good, alpha_log10=(0.0,)),
-        dict(good, alpha_log10=(-16.0,)),  # 1 - alpha/2 rounds to 1, so no fit has a finite cutoff
-        dict(good, alpha_log10=(-2.0, -math.inf)),
-        dict(good, alpha_log10=(-1.0, -1.0)),
-        dict(good, replicates=0),
-        dict(good, seed=-1),
-        dict(good, max_cond=-2),
+        (dict(p_values=()), "need at least one p value"),
+        (dict(p_values=(1,)), "p must be at least 2, got 1"),
+        (dict(p_values=(6, 6)), "duplicate p values"),
+        (dict(n_values=()), "need at least one n value"),
+        (dict(n_values=(3,)), "n must be at least 4 for the z test, got 3"),
+        (dict(n_values=(100, 100)), "duplicate n values"),
+        (dict(degree=0.0), "expected degree must be positive, got 0.0"),
+        (dict(degree=math.nan), "expected degree must be positive, got nan"),
+        (dict(degree=6.0), "expected degree 6.0 impossible at p=6 (max 5)"),  # d >= p
+        (dict(regimes=()), "need at least one regime"),
+        (
+            dict(regimes=("weird",)),
+            "unknown regime 'weird'; expected one of ('normal', 'f11', 'contaminated')",
+        ),
+        (dict(regimes=("normal", "normal")), "duplicate regimes"),
+        (
+            dict(methods=("ols",)),
+            "unknown method 'ols'; expected one of ('pearson', 'spearman', 'kendall')",
+        ),
+        (dict(methods=()), "need at least one method"),
+        (dict(methods=("pearson", "pearson")), "duplicate methods"),
+        (dict(alpha_log10=()), "need at least one alpha"),
+        (dict(alpha_log10=(0.0,)), "log10 alpha must be negative, got 0.0"),
+        (  # 1 - alpha/2 rounds to 1, so no fit has a finite cutoff
+            dict(alpha_log10=(-16.0,)),
+            "log10 alpha -16.0: fisher_z variant needs alpha above 2**-53 (about 1.1e-16), got 1e-16",
+        ),
+        (
+            dict(alpha_log10=(-2.0, -math.inf)),
+            "log10 alpha -inf: fisher_z variant needs alpha in (0, 1), got 0.0",
+        ),
+        (dict(alpha_log10=(-1.0, -1.0)), "duplicate alpha values"),
+        (dict(replicates=0), "replicates must be at least 1, got 0"),
+        (dict(seed=-1), "seed must be nonnegative, got -1"),
+        (dict(max_cond=-2), "max_cond must be nonnegative, got -2"),
     ]
-    for kwargs in bad_cases:
-        with pytest.raises(ConfigError):
-            ExperimentConfig(**kwargs)
+    for fault, message in bad_cases:
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**dict(good, **fault))
+        assert str(exc.value) == message, fault
     tiny = run_experiment(mini_config(replicates=1, alpha_log10=(-15.0,)))  # still a finite cutoff
     assert tiny.records and tiny.failures == []
 

@@ -2,7 +2,8 @@
 
 A decision on |r| does not see the sign of a column, and a rank estimator
 does not see a strictly increasing map of one (the nonparanormal; Liu,
-Lafferty & Wasserman 2009).  So neither may move the learned graph.
+Lafferty & Wasserman 2009).  So neither may move the learned graph, and a
+sign flip negates the flipped rows and columns of every estimate exactly.
 """
 
 import numpy as np
@@ -50,8 +51,9 @@ def test_sign_flips_leave_the_fit_unchanged(seed, p, n, noise, flips):
     values = sem_values(seed, p, n, noise)
     signs = np.array([-1.0 if flips >> j & 1 else 1.0 for j in range(p)])
     for method in METHODS:
-        _, plain = fit(values, method)
-        _, flipped = fit(values * signs, method)
+        sigma, plain = fit(values, method)
+        flipped_sigma, flipped = fit(values * signs, method)
+        assert np.array_equal(flipped_sigma, signs[:, None] * sigma * signs)  # D sigma D, exactly
         assert pc_result_to_text(flipped) == pc_result_to_text(plain)
         assert flipped.sepsets == plain.sepsets
 

@@ -242,17 +242,17 @@ class RankCiDecider(CiDecider):
             lo = start[a] + (tadj[a] & ((1 << b) - 1)).bit_count() * width[a]
             hi, out = lo + width[a], (tadj[a] ^ (1 << b)) & ~cand  # the table's neighbours of a outside cand
             i = bisect_left(seps, lo)
-            while out and seps[i] < hi and mask(seps[i]) & out:
+            while out and seps[i] < hi and mask(a, seps[i]) & out:
                 i += 1
             hit = min(seps[i], hi)
             if nonpd:
                 for j in nonpd[bisect_left(nonpd, lo) : bisect_left(nonpd, hit)]:
-                    if not mask(j) & out:
-                        self.warnings.append(self._nonpd_warning(min(a, b), max(a, b), tuple(_bits(mask(j)))))
+                    if not mask(a, j) & out:
+                        self.warnings.append(self._nonpd_warning(min(a, b), max(a, b), tuple(_bits(mask(a, j)))))
             m = cand.bit_count()
             if hit == hi:
                 return math.comb(m, level), None
-            sep, asked, prev = _bits(mask(hit)), 1, -1
+            sep, asked, prev = _bits(mask(a, hit)), 1, -1
             for j, c in enumerate(sep):  # the subsets that agree with sep below its j-th node, then go lower
                 pos = (cand & ((1 << c) - 1)).bit_count()
                 asked += math.comb(m - prev - 1, level - j) - math.comb(m - pos, level - j)

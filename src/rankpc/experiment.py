@@ -90,6 +90,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for field, (one, several) in _LIST_FIELDS.items():
             values = getattr(self, field)
+            if not isinstance(values, (tuple, list)):
+                raise ConfigError(f"{field} must be a tuple or list, got {type(values).__name__}")
             if not values:
                 raise ConfigError(f"need at least one {one}")
             if len(set(values)) != len(values):

@@ -96,24 +96,25 @@ TABLE_CHUNK = 4096  # rows per kernel call of a table build, which bounds its ga
 
 class LevelTable(NamedTuple):
     """|r(a, b | S)| for each direction (a, b) of the adjacency bitmasks ``adj`` with a of degree
-    above the level, and each level-size set S among a's other neighbours.
+    above ``level``, and each level-size set S among a's other neighbours.
 
     Direction (a, b) owns ``width[a]`` = C(deg(a) - 1, level) rows, its sets in lexicographic
     order, from ``start[a]`` plus ``width[a]`` times the number of a's neighbours below b.  Row i
-    holds its kernel row ``idx[i]`` = S + (min(a, b), max(a, b)) and ``abs_r[i]``, NaN where the
-    submatrix is not positive definite; ``nonpd`` lists those rows in ascending order.
+    holds ``abs_r[i]``, NaN where the submatrix is not positive definite (``nonpd`` lists those
+    rows in ascending order), and its set is row i - start[a] of ``_level_pattern`` over adj[a].
     """
 
     adj: list[int]
+    level: int
     start: list[int]
     width: list[int]
-    idx: np.ndarray
     abs_r: np.ndarray
     nonpd: list[int]
 
-    def mask(self, i: int) -> int:
-        """The bitmask of row i's set, made on each call."""
-        return sum(1 << c for c in self.idx[i, :-2].tolist())
+    def mask(self, a: int, i: int) -> int:
+        """The bitmask of row i's set, a row of a's, made from its layout on each call."""
+        nbrs = _bits(self.adj[a])
+        return sum(1 << nbrs[c] for c in _level_pattern(len(nbrs), self.level)[i - self.start[a]].tolist()[:-1])
 
 
 @lru_cache(maxsize=32)
@@ -173,30 +174,29 @@ class PartialCorrelations:
     def table(self, adj: Sequence[int], level: int) -> LevelTable:
         """The table of level ``level`` >= 2 over the adjacency bitmasks ``adj``.  The one kept for
         the level serves while each adj[a] lies inside its own, since a walk asks no set outside a's
-        current neighbours; else a new one is computed, its index gathered per degree and run
-        through ``partial_corr_batch`` in calls of at most ``TABLE_CHUNK`` rows."""
+        current neighbours; else a new one is computed.  Its kernel index is written per degree, run
+        through ``partial_corr_batch`` in calls of at most ``TABLE_CHUNK`` rows, and dropped."""
         old = self._tables.get(level)
         if old is not None and all(x & ~y == 0 for x, y in zip(adj, old.adj)):
             return old
         deg = [m.bit_count() for m in adj]
         start, width = [0] * len(adj), [math.comb(k - 1, level) if k > level else 0 for k in deg]
-        blocks, rows = [np.zeros((0, level + 2), np.intp)], 0
+        idx, rows = np.empty((sum(k * w for k, w in zip(deg, width)), level + 2), np.intp), 0
         for k, group in groupby(sorted((k, a) for a, k in enumerate(deg) if k > level), lambda ka: ka[0]):
             nodes = [a for _, a in group]  # the nodes of degree k, ascending
             pattern = _level_pattern(k, level)
             for a in nodes:
                 start[a], rows = rows, rows + len(pattern)
-            at = np.array([_bits(adj[a]) for a in nodes])[:, pattern]  # (node, row, S + (b,))
-            a, b = np.array(nodes)[:, None], at[:, :, -1]
-            high = np.maximum(a, b)[:, :, None]
+            block = idx[start[nodes[0]] : rows].reshape(len(nodes), len(pattern), level + 2)
+            block[:, :, :-1] = np.array([_bits(adj[a]) for a in nodes])[:, pattern]  # (node, row, S + (b,))
+            a, b = np.array(nodes)[:, None], block[:, :, -2]
+            np.maximum(a, b, out=block[:, :, -1])
             np.minimum(a, b, out=b)  # the rows (S, min(a, b), max(a, b))
-            blocks.append(np.concatenate([at, high], 2).reshape(-1, level + 2))
-        idx = np.concatenate(blocks)
-        abs_r = np.empty(len(idx))
-        for i in range(0, len(idx), TABLE_CHUNK):
-            abs_r[i : i + TABLE_CHUNK] = partial_corr_batch(self.sigma, idx[i : i + TABLE_CHUNK])
-        np.abs(abs_r, out=abs_r)
-        self._tables[level] = LevelTable(list(adj), start, width, idx, abs_r, np.flatnonzero(np.isnan(abs_r)).tolist())
+        abs_r = np.empty(rows)
+        for i in range(0, rows, TABLE_CHUNK):
+            abs_r[i : i + TABLE_CHUNK] = np.abs(partial_corr_batch(self.sigma, idx[i : i + TABLE_CHUNK]))
+        nonpd = np.flatnonzero(np.isnan(abs_r)).tolist()
+        self._tables[level] = LevelTable(list(adj), level, start, width, abs_r, nonpd)
         return self._tables[level]
 
 
@@ -374,12 +374,12 @@ def normalized_offdiag_bound_holds(a, b, delta: float) -> bool:
         raise ValueError("diagonal entries of a must be at least 1")
     if np.linalg.eigvalsh(am)[0] <= 0.0:
         raise ValueError("a must be positive definite")
+    if bm[0, 0] <= 0.0 or bm[1, 1] <= 0.0:  # checked before delta, which alone would rule it out
+        raise ValueError("diagonal entries of b must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if float(np.abs(am - bm).max()) >= delta:
         raise ValueError("need max|a - b| < delta")
-    if bm[0, 0] <= 0.0 or bm[1, 1] <= 0.0:
-        raise ValueError("diagonal entries of b must be positive")
     lhs = abs(
         am[0, 1] / math.sqrt(am[0, 0] * am[1, 1])
         - bm[0, 1] / math.sqrt(bm[0, 0] * bm[1, 1])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -9,8 +10,9 @@ from scipy.special import ndtri
 
 import rankpc.partial
 from rankpc.citest import CiDecider, OracleDecider, RankCiDecider, TestConfig, gamma_threshold
-from rankpc.correlation import estimate_correlation_matrix
+from rankpc.correlation import Dataset, estimate_correlation_matrix
 from rankpc.graph import Dag, d_separated
+from rankpc.pc import run_pc
 from rankpc.partial import (
     NotPositiveDefiniteError,
     PartialCorrelations,
@@ -265,8 +267,7 @@ def test_level_table_rows_are_kernel_values(monkeypatch, level):
             sets = list(combinations([x for x in nbrs if x != b], level))  # lexicographic
             lo = table.start[a] + i * table.width[a]
             assert table.width[a] == len(sets)
-            assert table.idx[lo : lo + len(sets)].tolist() == [[*s, min(a, b), max(a, b)] for s in sets]
-            assert [table.mask(lo + i) for i in range(len(sets))] == [sum(1 << c for c in s) for s in sets]
+            assert [table.mask(a, lo + i) for i in range(len(sets))] == [sum(1 << c for c in s) for s in sets]
             want = np.abs(kernel(sigma, np.array([s + (min(a, b), max(a, b)) for s in sets])))
             assert table.abs_r[lo : lo + len(sets)].tobytes() == want.tobytes()  # bitwise, NaN included
             for s, r in zip(sets, want):
@@ -275,7 +276,7 @@ def test_level_table_rows_are_kernel_values(monkeypatch, level):
                     rec = abs(partial_corr_recursive(sigma, a, b, s))
                     assert r == (rec if level == 2 else pytest.approx(rec, abs=1e-12))
             rows += len(sets)
-    assert len(table.abs_r) == len(table.idx) == rows and calls == [rows]
+    assert len(table.abs_r) == rows and calls == [rows]
     assert table.nonpd == np.flatnonzero(np.isnan(table.abs_r)).tolist() and table.nonpd  # the non-PD block
     cholesky.clear()  # the halving kernel's
     inside = adj.copy()
@@ -297,11 +298,25 @@ def test_level_table_rows_are_kernel_values(monkeypatch, level):
     calls.clear()
     chunked = PartialCorrelations(sigma).table(adj, level)
     assert calls == [7] * (rows // 7) + [rows % 7] * (rows % 7 > 0)
-    assert (chunked.abs_r.tobytes(), chunked.idx.tobytes(), chunked.nonpd) == (
-        table.abs_r.tobytes(),
-        table.idx.tobytes(),
-        table.nonpd,
-    )
+    assert (chunked.abs_r.tobytes(), chunked.nonpd) == (table.abs_r.tobytes(), table.nonpd)
+
+
+def test_level_tables_keep_only_abs_r_and_build_in_bounded_memory():
+    # one factor, X = F + E: no low-order set separates, so levels 2-9 each build a large table
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((1000, 1)) + rng.standard_normal((1000, 14))
+    partials = PartialCorrelations(estimate_correlation_matrix(Dataset(x), "spearman"))
+    tracemalloc.start()
+    try:
+        run_pc(RankCiDecider(partials, 1000, TestConfig("fisher_z", alpha=0.01)), 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = partials._tables
+    index = max(len(t.abs_r) * (level + 2) * 8 for level, t in tables.items())  # the largest full kernel index
+    assert sorted(tables) == list(range(2, 10)) and index > 7e6  # level 5: 134,640 rows
+    assert peak < 3 * index  # the index is built once, and neither copied nor kept
+    assert all([f for f in t._fields if isinstance(getattr(t, f), np.ndarray)] == ["abs_r"] for t in tables.values())
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -310,7 +325,7 @@ def test_finder_forms_bitmasks_only_of_rows_at_or_below_its_cutoff_and_nonpd_row
     sigma[:3, :3] = NONPD_BLOCK
     adj = [(1 << 9) - 1 - (1 << a) for a in range(9)]  # complete
     partials, asked, mask = PartialCorrelations(sigma), [], rankpc.partial.LevelTable.mask
-    monkeypatch.setattr(rankpc.partial.LevelTable, "mask", lambda self, i: asked.append(i) or mask(self, i))
+    monkeypatch.setattr(rankpc.partial.LevelTable, "mask", lambda self, a, i: asked.append(i) or mask(self, a, i))
     for gamma in (0.02, 0.1):  # the second finder reads the kept table
         decider = RankCiDecider(partials, 1000, TestConfig("threshold", gamma=gamma))
         find, ref = decider.separator_finder(adj, level), CiDecider.separator_finder(decider, adj, level)
@@ -483,3 +498,17 @@ def test_data_decider_agreement_with_oracle_is_reported():
     rate = agree / total
     print(f"decider-oracle agreement rate: {rate:.3f} ({agree}/{total})")
     assert 0.5 < rate <= 1.0
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: gamma_threshold(100, -1, 1.0), ValueError, "conditioning size must be nonnegative, got -1"),
+        (lambda: CiDecider().decide(0, 1, ()), NotImplementedError, ""),  # a subclass answers queries
+    ],
+    ids=["gamma_negative_size", "base_decide"],
+)
+def test_citest_input_checks(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

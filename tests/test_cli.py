@@ -1,5 +1,9 @@
+import dataclasses
+
 import pytest
 
+import rankpc.cli as cli
+import rankpc.experiment as experiment
 from rankpc.cli import (
     cmd_experiment,
     cmd_oracle_check,
@@ -8,7 +12,7 @@ from rankpc.cli import (
 )
 from rankpc.correlation import Dataset
 from rankpc.experiment import ExperimentConfig, records_from_csv, records_to_csv, write_plot_data
-from rankpc.graph import pdag_from_text
+from rankpc.graph import Pdag, degree, pdag_from_text
 from rankpc.simulate import sem_from_text
 
 
@@ -223,3 +227,48 @@ def test_main_rejects_bad_usage(tmp_path, capsys):
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_main_experiment_writes_failures_and_exits_zero(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXP_TEXT)
+    search, calls = experiment.run_pc, []
+
+    def first_search_fails(decider, p, max_cond=None):
+        calls.append(p)
+        if len(calls) == 1:
+            raise RuntimeError("synthetic search failure")
+        return search(decider, p, max_cond=max_cond)
+
+    monkeypatch.setattr(experiment, "run_pc", first_search_fails)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    failure = "regime=normal p=5 n=60 replicate=0 method=spearman alpha=0.1: synthetic search failure"
+    assert (out / "failures.txt").read_text() == failure + "\n"
+    assert stdout[0] == f"wrote 3 records to {out / 'records.csv'}"
+    assert stdout[-1] == f"1 failed runs listed in {out / 'failures.txt'}"
+    records = records_from_csv(out / "records.csv")
+    assert [(r.replicate, r.alpha) for r in records] == [(0, 0.01), (1, 0.01), (1, 0.1)]  # the other fits
+
+
+def test_oracle_check_reports_mismatch_and_degree_failures(monkeypatch, capsys):
+    search = cli.run_pc
+
+    def empty_and_too_deep(decider, p):  # no edges, and conditioning one past the true degree
+        result = search(decider, p)
+        return dataclasses.replace(result, pdag=Pdag(p), max_cond_used=degree(decider.dag) + 1)
+
+    monkeypatch.setattr(cli, "run_pc", empty_and_too_deep)
+    report = cmd_oracle_check(4, 3, 3)
+    assert (report.trials, report.exact, report.within_degree) == (3, 2, False)  # trials 1 and 2 have no edges
+    assert report.failures == [
+        "trial 0: mismatch at p=4, s=0.2",
+        "trial 0: conditioned on 2 > degree 1",
+        "trial 1: conditioned on 1 > degree 0",
+        "trial 2: conditioned on 1 > degree 0",
+    ]
+    exceeded = "conditioning exceeded the true degree in some trial"
+    assert report.message() == "; ".join(["2/3 exact", exceeded] + report.failures)
+    assert main(["oracle-check", "--p-max", "4", "--trials", "3", "--seed", "3"]) == 1
+    assert capsys.readouterr().out == report.message() + "\n"

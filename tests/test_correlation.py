@@ -356,3 +356,20 @@ def test_validate_correlation_matrix_errors():
     bad_range = np.array([[1.0, 1.4], [1.4, 1.0]])
     with pytest.raises(ValueError):
         validate_correlation_matrix(bad_range)
+
+
+@pytest.mark.parametrize(
+    "mat, message",
+    [
+        ([[1.0, 0.3]], "correlation matrix must be square, got shape (1, 2)"),
+        ([[1.0, math.nan], [math.nan, 1.0]], "correlation matrix contains non-finite entries"),
+        ([[1.0, 0.4], [0.3, 1.0]], "correlation matrix is not symmetric"),
+        ([[2.0, 0.3], [0.3, 1.0]], "correlation matrix diagonal is not 1"),
+        ([[1.0, 1.4], [1.4, 1.0]], "correlation matrix has entries outside [-1, 1]"),
+    ],
+    ids=["nonsquare", "nan", "asymmetric", "diagonal", "range"],
+)
+def test_validate_correlation_matrix_messages(mat, message):
+    with pytest.raises(ValueError) as exc:
+        validate_correlation_matrix(np.array(mat))
+    assert str(exc.value) == message

@@ -64,6 +64,7 @@ def test_default_alpha_grid():
 def test_config_validation_errors():
     good = dict(p_values=(6,), n_values=(100,), degree=2.0)
     ExperimentConfig(**good)
+    ExperimentConfig(**dict(good, p_values=[6], methods=["kendall"]))  # a list is a list field too
     # one fault per config, with the exact message it raises
     bad_cases = [
         (dict(p_values=()), "need at least one p value"),
@@ -101,6 +102,10 @@ def test_config_validation_errors():
         (dict(replicates=0), "replicates must be at least 1, got 0"),
         (dict(seed=-1), "seed must be nonnegative, got -1"),
         (dict(max_cond=-2), "max_cond must be nonnegative, got -2"),
+        (dict(p_values=6), "p_values must be a tuple or list, got int"),
+        (dict(alpha_log10=-2.0), "alpha_log10 must be a tuple or list, got float"),
+        (dict(regimes="f11"), "regimes must be a tuple or list, got str"),  # not read letter by letter
+        (dict(methods="kendall"), "methods must be a tuple or list, got str"),
     ]
     for fault, message in bad_cases:
         with pytest.raises(ConfigError) as exc:
@@ -352,3 +357,40 @@ def test_mean_shd_decreases_with_sample_size():
     assert set(by_method) == {"pearson", "spearman"}
     for method, shds in by_method.items():
         assert shds[1000] < shds[100], (method, shds)
+
+
+def test_run_experiment_records_data_and_per_alpha_failures(monkeypatch):
+    cfg = mini_config(replicates=2, n_values=(100,), regimes=("normal",))
+    clean = run_experiment(cfg).records
+    sample, search, calls = experiment.sample_sem, experiment.run_pc, []
+
+    def second_sample_fails(model, n, rng):
+        calls.append("sample")
+        if calls.count("sample") == 2:
+            raise RuntimeError("synthetic sampling failure")
+        return sample(model, n, rng)
+
+    def first_search_fails(decider, p, max_cond=None):
+        calls.append("search")
+        if calls.count("search") == 1:
+            raise RuntimeError("synthetic search failure")
+        return search(decider, p, max_cond=max_cond)
+
+    monkeypatch.setattr(experiment, "sample_sem", second_sample_fails)
+    monkeypatch.setattr(experiment, "run_pc", first_search_fails)
+    result = run_experiment(cfg, threads=1)
+    assert result.failures == [  # alphas run from the largest down
+        "regime=normal p=6 n=100 replicate=0 method=spearman alpha=0.1: synthetic search failure",
+        "regime=normal p=6 n=100 replicate=1: data generation failed: synthetic sampling failure",
+    ]
+    strip = lambda r: dataclasses.replace(r, runtime_ms=0.0)
+    assert [strip(r) for r in result.records] == [strip(r) for r in clean if r.replicate == 0 and r.alpha < 0.1]
+
+
+def test_records_csv_skips_blank_lines(tmp_path):
+    records = [_toy_record(0.1, 4), _toy_record(0.01, 2, replicate=1)]
+    path = tmp_path / "records.csv"
+    records_to_csv(records, path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, rows[0], "", rows[1], ""]) + "\n")
+    assert records_from_csv(path) == sorted(records, key=experiment._record_sort_key)

@@ -15,6 +15,7 @@ from rankpc.graph import (
     dag_to_text,
     degree,
     meek_closure,
+    node_set,
     pdag_from_text,
     pdag_to_text,
     shd,
@@ -390,3 +391,21 @@ def test_dag_from_text_rejects_malformed_input():
         dag_from_text("p=2\n0 -- 1\n")
     with pytest.raises(ValueError):
         pdag_from_text("p=2\n0 ?? 1\n")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: node_set([0, 1.5]), "node index must be an integer, got 1.5"),
+        (lambda: Dag(0), "node count must be a positive integer, got 0"),
+        (lambda: Pdag(0), "node count must be a positive integer, got 0"),
+        (lambda: Pdag(3).state(1, 1), "invalid pair (1, 1) for p=3"),
+        (lambda: Pdag(3).state(0, 3), "invalid pair (0, 3) for p=3"),
+        (lambda: pdag_from_text("p=3\n0 -> 1\n1 -- 0\n"), "pair (0, 1) listed twice"),
+    ],
+    ids=["node_set", "Dag", "Pdag", "state_self", "state_range", "listed_twice"],
+)
+def test_graph_input_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

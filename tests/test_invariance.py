@@ -4,6 +4,8 @@ A decision on |r| does not see the sign of a column, and a rank estimator
 does not see a strictly increasing map of one (the nonparanormal; Liu,
 Lafferty & Wasserman 2009).  So neither may move the learned graph, and a
 sign flip negates the flipped rows and columns of every estimate exactly.
+The order-independent skeleton (Colombo & Maathuis 2014) does not see the
+labels of the variables either.
 """
 
 import numpy as np
@@ -12,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from rankpc.citest import RankCiDecider, TestConfig
 from rankpc.correlation import METHODS, Dataset, TieError, estimate_correlation_matrix
-from rankpc.pc import pc_result_to_text, run_pc
+from rankpc.pc import pc_result_to_text, pc_skeleton, run_pc
 from rankpc.simulate import NOISES, SemModel, random_dag, random_weights, sample_sem
+
+from oracles import random_correlation
 
 # strictly increasing maps, monotone on floats too; 'round' merges close values into ties
 MONOTONE = {
@@ -79,3 +83,27 @@ def test_monotone_margins_leave_a_rank_fit_unchanged(seed, p, n, maps, method):
     assert np.array_equal(warped_sigma.view(np.int64), sigma.view(np.int64))
     assert pc_result_to_text(warped_fit) == pc_result_to_text(plain)
     assert warped_fit.sepsets == plain.sepsets
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 10),
+    n=st.sampled_from([20, 60, 200, 1000]),
+    source=st.sampled_from(METHODS + ("random",)),
+    config=st.sampled_from(
+        [TestConfig("fisher_z", alpha=a) for a in (1e-4, 0.01, 0.05, 0.3)]
+        + [TestConfig("threshold", gamma=g) for g in (0.02, 0.1, 0.2, 0.4)]
+    ),
+    data=st.data(),
+)
+def test_relabelling_permutes_the_stable_skeleton(seed, p, n, source, config, data):
+    if source == "random":
+        sigma = random_correlation(np.random.default_rng(seed), p)
+    else:
+        sigma = estimate_correlation_matrix(Dataset(sem_values(seed, p, n)), source)
+    perm = data.draw(st.permutations(range(p)))  # new variable i is old variable perm[i]
+    plain = pc_skeleton(RankCiDecider(sigma, n, config), p, stable=True)
+    relabelled = pc_skeleton(RankCiDecider(sigma[np.ix_(perm, perm)], n, config), p, stable=True)
+    # edges only: tests_run, sepsets and warnings follow the label order
+    assert {tuple(sorted((perm[a], perm[b]))) for a, b in relabelled.edges} == plain.edges

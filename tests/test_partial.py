@@ -333,3 +333,29 @@ def test_normalized_offdiag_bound_rejects_inadmissible():
         normalized_offdiag_bound_holds(np.array([[0.5, 0.0], [0.0, 1.5]]), a, delta=0.5)
     with pytest.raises(ValueError):
         normalized_offdiag_bound_holds(a, a + 0.6, delta=0.5)
+
+
+ASYMMETRIC, INDEFINITE, ZERO = np.array([[1.0, 0.5], [0.4, 1.0]]), np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2))
+
+
+@pytest.mark.parametrize(
+    "check, args, message",
+    [
+        (min_nonzero_partial_corr, (np.eye(1),), "need at least 2 variables, got p=1"),
+        (min_submatrix_eigenvalue, (np.eye(3), 0), "q must be in 1..3, got 0"),
+        (min_submatrix_eigenvalue, (np.eye(3), 4), "q must be in 1..3, got 4"),
+        (inverse_error_bound_holds, (np.ones((2, 3)), ZERO, 0.1), "sigma must be square, got shape (2, 3)"),
+        (inverse_error_bound_holds, (np.eye(2), np.full((2, 2), np.inf), 0.1), "err contains non-finite entries"),
+        (inverse_error_bound_holds, (np.eye(3), ZERO, 0.1), "shape mismatch: (3, 3) vs (2, 2)"),
+        (inverse_error_bound_holds, (ASYMMETRIC, ZERO, 0.1), "sigma must be symmetric"),
+        (inverse_error_bound_holds, (INDEFINITE, ZERO, 0.1), "sigma must be positive definite"),
+        (normalized_offdiag_bound_holds, (np.eye(3), np.eye(3), 0.1), "both matrices must be 2x2"),
+        (normalized_offdiag_bound_holds, (np.eye(2), ASYMMETRIC, 0.1), "both matrices must be symmetric"),
+        (normalized_offdiag_bound_holds, (INDEFINITE, INDEFINITE, 0.1), "a must be positive definite"),
+        (normalized_offdiag_bound_holds, (np.eye(2), np.diag([1.0, 0.0]), 0.5), "diagonal entries of b must be positive"),
+    ],
+)
+def test_partial_input_checks(check, args, message):
+    with pytest.raises(ValueError) as exc:
+        check(*args)
+    assert str(exc.value) == message

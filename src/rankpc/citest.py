@@ -176,8 +176,8 @@ class RankCiDecider(CiDecider):
     badly conditioned estimates degrades to keeping edges instead of crashing.
     Each level of skeleton search compares a whole table with the level's
     cutoff: ``marginally_independent`` the marginal entries,
-    ``level_one_masks`` the table ``PartialCorrelations.level_one`` computes
-    (``warn_nonpd`` warns for the non-PD c the walk passes), and
+    ``level_one_masks`` the blocks ``PartialCorrelations.level_one`` computes,
+    one at a time (``warn_nonpd`` warns for the non-PD c the walk passes), and
     ``separator_finder`` at each level >= 2 the table
     ``PartialCorrelations.table`` keeps, walked row by row over each
     direction's sets.  ``decide`` computes its one query in one kernel call.
@@ -215,10 +215,15 @@ class RankCiDecider(CiDecider):
         return (partials.pair_marginal <= self._cutoff(0)).tolist()
 
     def level_one_masks(self, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-        table, nonpd = self.partials.level_one(pairs)
-        below = np.zeros((len(table), -(-table.shape[1] // 64) * 64), bool)  # whole 64-bit words per row
-        np.less_equal(table, self._cutoff(1), out=below[:, : table.shape[1]])
-        words = np.packbits(below, 1, bitorder="little").view("<u8").T.tolist()
+        """Each block of ``PartialCorrelations.level_one`` compared with the level-1 cutoff and packed
+        into its pairs' rows of one preallocated array of 64-bit words before the next is computed."""
+        gamma, p = self._cutoff(1), len(self.partials.sigma)
+        words, nonpd = np.zeros((len(pairs), -(-p // 64)), "<u8"), []  # whole 64-bit words per pair
+        packed = words.view(np.uint8)[:, : -(-p // 8)]
+        for table, bad in self.partials.level_one(pairs):
+            packed[len(nonpd) : len(nonpd) + len(bad)] = np.packbits(table <= gamma, 1, bitorder="little")
+            nonpd += bad
+        words = words.T.tolist()
         seps = words[0]
         for w, word in enumerate(words[1:], 1):
             seps = [s | x << 64 * w for s, x in zip(seps, word)]

@@ -221,21 +221,30 @@ def _spearman_rho_matrix(rank_cols: np.ndarray) -> np.ndarray:
     return 3.0 * (4.0 * (r.T @ r) - n * (n + 1) ** 2) / (n * (n * n - 1))
 
 
+KENDALL_BLOCK = 1 << 16  # entries (rows x (n - 1) x p) bounding the rows one Kendall product stacks
+
+
 def _kendall_tau_matrix(rank_cols: np.ndarray) -> np.ndarray:
     """Kendall tau of every column pair of an n x p rank matrix, exactly.
 
     With a_i = [R_j > R_i] over the rows j > i, each pair's sign is 2a - 1,
     so the sign sum over the row pairs i < j is 4g - 2(c_k + c_l) + n(n-1)/2,
-    where g sums a_i^T a_i one row i at a time and c is its diagonal.  The
-    float32 products are exact while n < 2**24: each row's sums are integers
-    of at most n - 1.  They are summed in float64, and every term is an
-    integer below 2**53.
+    where g sums a_i^T a_i and c is its diagonal.  Each float32 product
+    stacks the a_i of up to ``KENDALL_BLOCK`` // ((n - 1) p) rows, and of one
+    row when a row alone is larger: short rows share a call, long ones keep
+    their own.  It is exact while rows (n - 1) < 2**24: its sums are integers
+    of at most rows (n - 1).  They are summed in float64, and every term is
+    an integer below 2**53.
     """
     n, p = rank_cols.shape
     r = rank_cols.astype(np.float32)
     g = np.zeros((p, p))
-    for i in range(n - 1):
-        above = (r[i + 1 :] > r[i]).astype(np.float32)
+    rows = max(1, KENDALL_BLOCK // ((n - 1) * p))
+    for i in range(0, n - 1, rows):
+        if rows == 1:
+            above = (r[i + 1 :] > r[i]).astype(np.float32)
+        else:
+            above = np.concatenate([r[j + 1 :] > r[j] for j in range(i, min(i + rows, n - 1))], dtype=np.float32)
         g += above.T @ above
     c = np.diagonal(g)
     total = 4.0 * g - 2.0 * (c[:, None] + c) + n * (n - 1) / 2

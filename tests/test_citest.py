@@ -11,7 +11,7 @@ from scipy.special import ndtri
 import rankpc.partial
 from rankpc.citest import CiDecider, OracleDecider, RankCiDecider, TestConfig, gamma_threshold
 from rankpc.correlation import Dataset, estimate_correlation_matrix
-from rankpc.graph import Dag, d_separated
+from rankpc.graph import Dag, d_separated, pdag_to_text
 from rankpc.pc import run_pc
 from rankpc.partial import (
     NotPositiveDefiniteError,
@@ -200,7 +200,14 @@ NONPD_BLOCK = np.array(
 )
 
 
+def stacked_level_one(partials, pairs):
+    """The tables of ``PartialCorrelations.level_one``'s blocks stacked, and their non-PD bitmasks."""
+    blocks = list(partials.level_one(pairs))
+    return np.concatenate([table for table, _ in blocks]), [m for _, nonpd in blocks for m in nonpd]
+
+
 def test_level_one_table_holds_kernel_values_without_cholesky(monkeypatch):
+    monkeypatch.setattr(rankpc.partial, "LEVEL_ONE_BLOCK", 3 * 8)  # blocks of 3 pairs
     sigma = random_correlation(np.random.default_rng(31), 8)
     sigma[:3, :3] = NONPD_BLOCK
     cholesky = []
@@ -213,7 +220,8 @@ def test_level_one_table_holds_kernel_values_without_cholesky(monkeypatch):
     monkeypatch.setattr(_umath_linalg, "cholesky_lo", counted)
     partials = PartialCorrelations(sigma)
     first = [(0, 1), (0, 2), (1, 2), (2, 5), (4, 6)]
-    fits = [(pairs, *partials.level_one(pairs)) for pairs in (first, sorted(first + [(1, 7), (3, 4)]), first[2:])]
+    assert [len(table) for table, _ in partials.level_one(first)] == [3, 2]
+    fits = [(pairs, *stacked_level_one(partials, pairs)) for pairs in (first, sorted(first + [(1, 7), (3, 4)]), first[2:])]
     assert cholesky == []  # levels 0 and 1 are closed forms
     for pairs, table, nonpd in fits:
         assert table.shape == (len(pairs), 8) and len(nonpd) == len(pairs)
@@ -229,10 +237,57 @@ def test_level_one_table_holds_kernel_values_without_cholesky(monkeypatch):
     assert [m >> c & 1 for m, c in zip(fits[0][2], (2, 1, 0))] == [1, 1, 1]  # the non-PD block
     inexact = sigma.copy()
     np.fill_diagonal(inexact, 1 - 1e-9)  # validated: the closed forms read no diagonal entry
-    table, nonpd = PartialCorrelations(inexact).level_one(first)
+    table, nonpd = stacked_level_one(PartialCorrelations(inexact), first)
     assert table.tobytes() == fits[0][1].tobytes() and nonpd == fits[0][2]
     a, b = np.triu_indices(8, 1)  # level 0 reads the entries
     assert partials.pair_marginal.tobytes() == np.abs(sigma[a, b]).tobytes() == np.abs(sigma[b, a]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(3, 12),
+    nonpd=st.booleans(),
+    gamma=st.floats(0.0, 0.6),
+    stable=st.booleans(),
+)
+def test_blocked_level_one_matches_one_block(seed, p, nonpd, gamma, stable):
+    # blocks of 1 and 3 pairs against every pair in one block: the masks of the complete graph's
+    # pairs, and whole fits with their warnings, tests_run, sepsets and PDAGs
+    sigma = random_correlation(np.random.default_rng(seed), p)
+    if nonpd:
+        sigma[:3, :3] = NONPD_BLOCK
+    pairs = list(combinations(range(p), 2))
+    assert rankpc.partial.LEVEL_ONE_BLOCK // p >= len(pairs)
+    runs = []
+    for size in (None, 1, 3):
+        with pytest.MonkeyPatch.context() as m:
+            if size:
+                m.setattr(rankpc.partial, "LEVEL_ONE_BLOCK", size * p)
+            decider = RankCiDecider(sigma, 1000, TestConfig("threshold", gamma=gamma))
+            step = size or len(pairs)
+            blocks = [len(table) for table, _ in decider.partials.level_one(pairs)]
+            assert blocks == [min(step, len(pairs) - lo) for lo in range(0, len(pairs), step)]
+            masks = decider.level_one_masks(pairs)
+            result = run_pc(decider, p, stable=stable)
+            runs.append((masks, result.warnings, result.tests_run, result.sepsets, pdag_to_text(result.pdag)))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_level_one_builds_in_bounded_memory():
+    # level 1 over all 4,950 pairs of 100 nodes: a block at a time, never the (k, p) gather of all of them
+    partials = PartialCorrelations(random_correlation(np.random.default_rng(43), 100))
+    decider = RankCiDecider(partials, 1000, TestConfig("fisher_z", alpha=0.01))
+    pairs = list(combinations(range(100), 2))
+    tracemalloc.start()
+    try:
+        masks = decider.level_one_masks(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gather = 4 * 8 * 100 * (rankpc.partial.LEVEL_ONE_BLOCK // 100)  # one block's rows of sigma and 1 - sigma^2
+    assert len(masks) == len(pairs) > 1000
+    assert peak < 3 * gather < 4 * 8 * 100 * len(pairs)  # the block being packed, the next one's gather, the masks
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])

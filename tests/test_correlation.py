@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
+import rankpc.correlation
 from rankpc.correlation import (
     Dataset,
     TieError,
@@ -296,6 +297,10 @@ def test_matrix_matches_pairwise_estimates():
 def test_kendall_kernel_matches_naive_oracle(seed, n, p):
     data = Dataset(np.random.default_rng(seed).standard_normal((n, p)))
     tau = _kendall_tau_matrix(_rank_columns(data.values))
+    for block in (1, 7 * (n - 1) * p):  # one row per product, and 7 stacked rows
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rankpc.correlation, "KENDALL_BLOCK", block)
+            assert _kendall_tau_matrix(_rank_columns(data.values)).tobytes() == tau.tobytes()
     mat = estimate_correlation_matrix(data, "kendall")
     if p == 1:
         assert mat.tolist() == [[1.0]]

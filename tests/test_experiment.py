@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from rankpc.experiment import (
 )
 from rankpc.graph import cpdag
 
+SRC = str(Path(experiment.__file__).resolve().parents[1])  # the directory the tests import rankpc from
 
 MINI_TEXT = """
 [experiment]
@@ -106,11 +111,22 @@ def test_config_validation_errors():
         (dict(alpha_log10=-2.0), "alpha_log10 must be a tuple or list, got float"),
         (dict(regimes="f11"), "regimes must be a tuple or list, got str"),  # not read letter by letter
         (dict(methods="kendall"), "methods must be a tuple or list, got str"),
+        (dict(p_values=(6.5,)), "p_values: 6.5 is not an integer"),  # else every replicate fails to sample
+        (dict(p_values=(6, True)), "p_values: True is not an integer"),
+        (dict(n_values=(100.5,)), "n_values: 100.5 is not an integer"),
+        (dict(n_values=(100, 200.0)), "n_values: 200.0 is not an integer"),
+        (dict(replicates=True), "replicates: True is not an integer"),  # else it runs one replicate
+        (dict(replicates=2.0), "replicates: 2.0 is not an integer"),
+        (dict(seed=1.5), "seed: 1.5 is not an integer"),
+        (dict(seed=False), "seed: False is not an integer"),
+        (dict(max_cond=1.5), "max_cond: 1.5 is not an integer"),  # else it acts as 1
+        (dict(max_cond=True), "max_cond: True is not an integer"),
     ]
     for fault, message in bad_cases:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(**dict(good, **fault))
         assert str(exc.value) == message, fault
+    ExperimentConfig(**dict(good, p_values=(np.int64(6),), replicates=np.int32(2), max_cond=0))  # any integral type
     tiny = run_experiment(mini_config(replicates=1, alpha_log10=(-15.0,)))  # still a finite cutoff
     assert tiny.records and tiny.failures == []
 
@@ -186,6 +202,18 @@ def test_run_experiment_threads_do_not_change_results():
     assert [strip(r) for r in one.records] == [strip(r) for r in two.records]
     with pytest.raises(ValueError):
         run_experiment(cfg, threads=0)
+
+
+def test_imports_leave_the_process_pool_unloaded():
+    # only run_experiment with threads > 1 loads the pool, whose modules cost every process memory
+    code = (
+        "import sys, rankpc, rankpc.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_shared_partials_match_a_fresh_decider_per_alpha(monkeypatch):

@@ -25,6 +25,8 @@ from .correlation import METHODS
 from .graph import Dag, _bits, _pairs, d_separated
 from .partial import NotPositiveDefiniteError, PartialCorrelations, _query
 
+LEVEL_ONE_BLOCK = 65536  # entries (pairs x nodes) per level-1 block, which bounds its gathered rows to 2 MiB
+
 __all__ = [
     "VARIANTS",
     "TestConfig",
@@ -176,8 +178,9 @@ class RankCiDecider(CiDecider):
     badly conditioned estimates degrades to keeping edges instead of crashing.
     Each level of skeleton search compares a whole table with the level's
     cutoff: ``marginally_independent`` the marginal entries,
-    ``level_one_masks`` the blocks ``PartialCorrelations.level_one`` computes,
-    one at a time (``warn_nonpd`` warns for the non-PD c the walk passes), and
+    ``level_one_masks`` the tables ``PartialCorrelations.level_one`` computes,
+    one block of pairs at a time (``warn_nonpd`` warns for the non-PD c the
+    walk passes), and
     ``separator_finder`` at each level >= 2 the table
     ``PartialCorrelations.table`` keeps, walked row by row over each
     direction's sets.  ``decide`` computes its one query in one kernel call.
@@ -215,14 +218,18 @@ class RankCiDecider(CiDecider):
         return (partials.pair_marginal <= self._cutoff(0)).tolist()
 
     def level_one_masks(self, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-        """Each block of ``PartialCorrelations.level_one`` compared with the level-1 cutoff and packed
-        into its pairs' rows of one preallocated array of 64-bit words before the next is computed."""
+        """``PartialCorrelations.level_one`` over max(1, ``LEVEL_ONE_BLOCK`` // p) pairs at a time, each
+        block compared with the level-1 cutoff and packed into its pairs' rows of one preallocated array
+        of 64-bit words before the next is computed."""
         gamma, p = self._cutoff(1), len(self.partials.sigma)
-        words, nonpd = np.zeros((len(pairs), -(-p // 64)), "<u8"), []  # whole 64-bit words per pair
+        step, nonpd = max(1, LEVEL_ONE_BLOCK // p), []
+        words = np.zeros((len(pairs), -(-p // 64)), "<u8")  # whole 64-bit words per pair
         packed = words.view(np.uint8)[:, : -(-p // 8)]
-        for table, bad in self.partials.level_one(pairs):
-            packed[len(nonpd) : len(nonpd) + len(bad)] = np.packbits(table <= gamma, 1, bitorder="little")
+        for lo in range(0, len(pairs), step):
+            table, bad = self.partials.level_one(pairs[lo : lo + step])
+            packed[lo : lo + len(bad)] = np.packbits(table <= gamma, 1, bitorder="little")
             nonpd += bad
+            del table  # freed before the next block is gathered
         words = words.T.tolist()
         seps = words[0]
         for w, word in enumerate(words[1:], 1):

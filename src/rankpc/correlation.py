@@ -221,7 +221,7 @@ def _spearman_rho_matrix(rank_cols: np.ndarray) -> np.ndarray:
     return 3.0 * (4.0 * (r.T @ r) - n * (n + 1) ** 2) / (n * (n * n - 1))
 
 
-KENDALL_BLOCK = 1 << 16  # entries (rows x (n - 1) x p) bounding the rows one Kendall product stacks
+KENDALL_BLOCK = 1 << 16  # entries (rows x p) of the float32 buffer one Kendall product reads, unless n - 1 rows are more
 
 
 def _kendall_tau_matrix(rank_cols: np.ndarray) -> np.ndarray:
@@ -229,23 +229,25 @@ def _kendall_tau_matrix(rank_cols: np.ndarray) -> np.ndarray:
 
     With a_i = [R_j > R_i] over the rows j > i, each pair's sign is 2a - 1,
     so the sign sum over the row pairs i < j is 4g - 2(c_k + c_l) + n(n-1)/2,
-    where g sums a_i^T a_i and c is its diagonal.  Each float32 product
-    stacks the a_i of up to ``KENDALL_BLOCK`` // ((n - 1) p) rows, and of one
-    row when a row alone is larger: short rows share a call, long ones keep
-    their own.  It is exact while rows (n - 1) < 2**24: its sums are integers
-    of at most rows (n - 1).  They are summed in float64, and every term is
-    an integer below 2**53.
+    where g sums a_i^T a_i and c is its diagonal.  The a_i are written in
+    turn into one float32 buffer of max(n - 1, ``KENDALL_BLOCK`` // p) rows,
+    and each time the next would not fit, one product takes the stacked
+    ones: at n = 1000 the first rows have a product each and the later,
+    shorter ones share.  It is exact while the buffer has fewer than 2**24
+    rows: a product's sums are integers of at most that.  They are summed
+    in float64, and every term is an integer below 2**53.
     """
     n, p = rank_cols.shape
     r = rank_cols.astype(np.float32)
     g = np.zeros((p, p))
-    rows = max(1, KENDALL_BLOCK // ((n - 1) * p))
-    for i in range(0, n - 1, rows):
-        if rows == 1:
-            above = (r[i + 1 :] > r[i]).astype(np.float32)
-        else:
-            above = np.concatenate([r[j + 1 :] > r[j] for j in range(i, min(i + rows, n - 1))], dtype=np.float32)
-        g += above.T @ above
+    above, k = np.empty((max(n - 1, KENDALL_BLOCK // p), p), np.float32), 0  # k rows stacked
+    for i in range(n - 1):
+        if k + n - 1 - i > len(above):
+            g += above[:k].T @ above[:k]
+            k = 0
+        np.greater(r[i + 1 :], r[i], out=above[k : k + n - 1 - i])
+        k += n - 1 - i
+    g += above[:k].T @ above[:k]
     c = np.diagonal(g)
     total = 4.0 * g - 2.0 * (c[:, None] + c) + n * (n - 1) / 2
     return 2.0 * total / (n * (n - 1))

@@ -3,9 +3,9 @@
 One engine computes partial correlations: closed forms for conditioning
 sets of size 0, 1 and 2 and a Cholesky factorization for larger ones,
 batched over many sets of one size.  :class:`PartialCorrelations` holds
-them per correlation matrix for the data-driven CI decider: level 1 of
-skeleton search in blocks of pairs, none kept, and one whole table for each
-level from 2 up, kept.  The
+them per correlation matrix for the data-driven CI decider: a level-1
+table for the pairs it is given, asked for one block of pairs at a time,
+and one whole table for each level from 2 up, kept.  The
 conditioning functionals (smallest nonzero partial correlation, smallest
 submatrix eigenvalue) feed the closed-form bound on the probability that
 rank-based structure learning returns a wrong equivalence class.
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, groupby
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -93,7 +93,6 @@ def partial_corr_batch(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 TABLE_CHUNK = 4096  # rows per kernel call of a table build, which bounds its gathered submatrices
-LEVEL_ONE_BLOCK = 65536  # entries (pairs x nodes) per block of level 1, which bounds its gathered rows to 2 MiB
 
 
 class LevelTable(NamedTuple):
@@ -136,10 +135,10 @@ class PartialCorrelations:
     so sharing one instance between them computes each partial correlation
     once.  ``pair_marginal`` holds |r(a, b | {})| for the pairs a < b in
     lexicographic order, the kernel's value at |S| = 0: the entry sigma[b, a],
-    NaN where |r| >= 1.  ``level_one`` computes a fit's
-    level 1 from the rows of sigma and 1 - sigma^2, one block of pairs at a
-    time, keeping none, and ``table`` the table of a level >= 2, one kept
-    per level for later fits.  A single
+    NaN where |r| >= 1.  ``level_one`` computes the level-1 table of the
+    pairs it is given from the rows of sigma and 1 - sigma^2 (the decider
+    gives it one block of a fit's pairs at a time), and ``table`` the
+    table of a level >= 2, one kept per level for later fits.  A single
     query is one ``partial_corr_batch`` call on its row.  NaN marks a
     submatrix that is not positive definite.
     """
@@ -154,30 +153,25 @@ class PartialCorrelations:
         self._rows = np.stack([self.sigma, gap])  # the rows level_one gathers
         self._tables: dict[int, LevelTable] = {}
 
-    def level_one(self, pairs: Sequence[tuple[int, int]]) -> Iterator[tuple[np.ndarray, list[int]]]:
-        """Level 1 for the pairs (a, b), a < b, of ``pairs``, one block of max(1, ``LEVEL_ONE_BLOCK``
-        // p) consecutive pairs at a time.  A block's table holds |r(a, b | c)| at [i, c] for its i-th
-        pair and every node c, bitwise ``partial_corr_batch`` on (c, a, b) and NaN at c = a and c = b;
-        with it come, per pair, the bitmasks of the other NaN c.  One closed-form step over the
-        gathered rows of a and b; the masks take a pass over the rows only when some pair has more
-        than those two NaN.  A block is computed when it is asked for, so no more than two are held:
-        the one its consumer still reads and the one being built."""
+    def level_one(self, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
+        """|r(a, b | c)| at [i, c] for the i-th pair (a, b), a < b, of ``pairs`` and every node c, bitwise
+        ``partial_corr_batch`` on (c, a, b) and NaN at c = a and c = b; per pair, the bitmask of the
+        other NaN c.  One closed-form step over the gathered rows of a and b; the masks take a pass
+        over the rows only when some pair has more than those two NaN."""
         p, k = self.sigma.shape[0], len(pairs)
         ab = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * k).reshape(k, 2)
-        r_ab, step = self.sigma[ab[:, 1], ab[:, 0], None], max(1, LEVEL_ONE_BLOCK // p)
-        for lo in range(0, k, step):
-            (r_ac, r_bc), (da, db) = np.take(self._rows, ab[lo : lo + step].T, axis=1)  # contiguous blocks
-            table = np.multiply(r_ac, r_bc, out=r_ac)
-            np.subtract(r_ab[lo : lo + step], table, out=table)
-            np.divide(table, np.sqrt(np.multiply(da, db, out=da), out=da), out=table)
-            np.abs(table, out=table)
-            ok = table < 1
-            nonpd = [0] * len(table)
-            if np.count_nonzero(ok) < len(table) * (p - 2):
-                table[~ok] = np.nan
-                for i in np.flatnonzero(np.count_nonzero(ok, axis=1) < p - 2).tolist():
-                    nonpd[i] = sum(1 << c for c in np.flatnonzero(~ok[i]).tolist() if c not in pairs[lo + i])
-            yield table, nonpd
+        (r_ac, r_bc), (da, db) = np.take(self._rows, ab.T, axis=1)  # each a contiguous (k, p) block
+        table = np.multiply(r_ac, r_bc, out=r_ac)
+        np.subtract(self.sigma[ab[:, 1], ab[:, 0], None], table, out=table)
+        np.divide(table, np.sqrt(np.multiply(da, db, out=da), out=da), out=table)
+        np.abs(table, out=table)
+        ok = table < 1
+        nonpd = [0] * k
+        if np.count_nonzero(ok) < k * (p - 2):
+            table[~ok] = np.nan
+            for i in np.flatnonzero(np.count_nonzero(ok, axis=1) < p - 2).tolist():
+                nonpd[i] = sum(1 << c for c in np.flatnonzero(~ok[i]).tolist() if c not in pairs[i])
+        return table, nonpd
 
     def table(self, adj: Sequence[int], level: int) -> LevelTable:
         """The table of level ``level`` >= 2 over the adjacency bitmasks ``adj``.  The one kept for

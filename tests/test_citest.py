@@ -8,6 +8,7 @@ from numpy.linalg import _umath_linalg
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
+import rankpc.citest
 import rankpc.partial
 from rankpc.citest import CiDecider, OracleDecider, RankCiDecider, TestConfig, gamma_threshold
 from rankpc.correlation import Dataset, estimate_correlation_matrix
@@ -200,14 +201,7 @@ NONPD_BLOCK = np.array(
 )
 
 
-def stacked_level_one(partials, pairs):
-    """The tables of ``PartialCorrelations.level_one``'s blocks stacked, and their non-PD bitmasks."""
-    blocks = list(partials.level_one(pairs))
-    return np.concatenate([table for table, _ in blocks]), [m for _, nonpd in blocks for m in nonpd]
-
-
 def test_level_one_table_holds_kernel_values_without_cholesky(monkeypatch):
-    monkeypatch.setattr(rankpc.partial, "LEVEL_ONE_BLOCK", 3 * 8)  # blocks of 3 pairs
     sigma = random_correlation(np.random.default_rng(31), 8)
     sigma[:3, :3] = NONPD_BLOCK
     cholesky = []
@@ -220,8 +214,7 @@ def test_level_one_table_holds_kernel_values_without_cholesky(monkeypatch):
     monkeypatch.setattr(_umath_linalg, "cholesky_lo", counted)
     partials = PartialCorrelations(sigma)
     first = [(0, 1), (0, 2), (1, 2), (2, 5), (4, 6)]
-    assert [len(table) for table, _ in partials.level_one(first)] == [3, 2]
-    fits = [(pairs, *stacked_level_one(partials, pairs)) for pairs in (first, sorted(first + [(1, 7), (3, 4)]), first[2:])]
+    fits = [(pairs, *partials.level_one(pairs)) for pairs in (first, sorted(first + [(1, 7), (3, 4)]), first[2:])]
     assert cholesky == []  # levels 0 and 1 are closed forms
     for pairs, table, nonpd in fits:
         assert table.shape == (len(pairs), 8) and len(nonpd) == len(pairs)
@@ -237,7 +230,7 @@ def test_level_one_table_holds_kernel_values_without_cholesky(monkeypatch):
     assert [m >> c & 1 for m, c in zip(fits[0][2], (2, 1, 0))] == [1, 1, 1]  # the non-PD block
     inexact = sigma.copy()
     np.fill_diagonal(inexact, 1 - 1e-9)  # validated: the closed forms read no diagonal entry
-    table, nonpd = stacked_level_one(PartialCorrelations(inexact), first)
+    table, nonpd = PartialCorrelations(inexact).level_one(first)
     assert table.tobytes() == fits[0][1].tobytes() and nonpd == fits[0][2]
     a, b = np.triu_indices(8, 1)  # level 0 reads the entries
     assert partials.pair_marginal.tobytes() == np.abs(sigma[a, b]).tobytes() == np.abs(sigma[b, a]).tobytes()
@@ -258,17 +251,18 @@ def test_blocked_level_one_matches_one_block(seed, p, nonpd, gamma, stable):
     if nonpd:
         sigma[:3, :3] = NONPD_BLOCK
     pairs = list(combinations(range(p), 2))
-    assert rankpc.partial.LEVEL_ONE_BLOCK // p >= len(pairs)
+    assert rankpc.citest.LEVEL_ONE_BLOCK // p >= len(pairs)
     runs = []
     for size in (None, 1, 3):
         with pytest.MonkeyPatch.context() as m:
             if size:
-                m.setattr(rankpc.partial, "LEVEL_ONE_BLOCK", size * p)
+                m.setattr(rankpc.citest, "LEVEL_ONE_BLOCK", size * p)
             decider = RankCiDecider(sigma, 1000, TestConfig("threshold", gamma=gamma))
-            step = size or len(pairs)
-            blocks = [len(table) for table, _ in decider.partials.level_one(pairs)]
-            assert blocks == [min(step, len(pairs) - lo) for lo in range(0, len(pairs), step)]
+            blocks, level_one = [], decider.partials.level_one
+            m.setattr(decider.partials, "level_one", lambda block: blocks.append(len(block)) or level_one(block))
             masks = decider.level_one_masks(pairs)
+            step = size or len(pairs)
+            assert blocks == [min(step, len(pairs) - lo) for lo in range(0, len(pairs), step)]
             result = run_pc(decider, p, stable=stable)
             runs.append((masks, result.warnings, result.tests_run, result.sepsets, pdag_to_text(result.pdag)))
     assert runs[1] == runs[0] and runs[2] == runs[0]
@@ -285,9 +279,9 @@ def test_level_one_builds_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    gather = 4 * 8 * 100 * (rankpc.partial.LEVEL_ONE_BLOCK // 100)  # one block's rows of sigma and 1 - sigma^2
+    gather = 4 * 8 * 100 * (rankpc.citest.LEVEL_ONE_BLOCK // 100)  # one block's rows of sigma and 1 - sigma^2
     assert len(masks) == len(pairs) > 1000
-    assert peak < 3 * gather < 4 * 8 * 100 * len(pairs)  # the block being packed, the next one's gather, the masks
+    assert peak < 2 * gather < 4 * 8 * 100 * len(pairs)  # one block's gather and its comparison, the masks
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])

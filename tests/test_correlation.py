@@ -297,7 +297,7 @@ def test_matrix_matches_pairwise_estimates():
 def test_kendall_kernel_matches_naive_oracle(seed, n, p):
     data = Dataset(np.random.default_rng(seed).standard_normal((n, p)))
     tau = _kendall_tau_matrix(_rank_columns(data.values))
-    for block in (1, 7 * (n - 1) * p):  # one row per product, and 7 stacked rows
+    for block in (1, 7 * (n - 1) * p):  # products of at most n - 1 and of 7 (n - 1) stacked rows
         with pytest.MonkeyPatch.context() as m:
             m.setattr(rankpc.correlation, "KENDALL_BLOCK", block)
             assert _kendall_tau_matrix(_rank_columns(data.values)).tobytes() == tau.tobytes()

@@ -178,14 +178,11 @@ def _build_parser() -> argparse.ArgumentParser:
     oc.add_argument("--seed", type=_at_least(0), default=0)
 
     sim = sub.add_parser("simulate", help="write datasets and models for a config")
-    sim.add_argument("--config", required=True, help="experiment config file")
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-
     exp = sub.add_parser("experiment", help="run the full comparison grid")
-    exp.add_argument("--config", required=True, help="experiment config file")
-    exp.add_argument("--out", required=True, help="output directory")
-    exp.add_argument("--seed", type=int, default=None, help="override the config seed")
+    for cmd in (sim, exp):
+        cmd.add_argument("--config", required=True, help="experiment config file")
+        cmd.add_argument("--out", required=True, help="output directory")
+        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
     exp.add_argument("--threads", type=_at_least(1), default=1, help="worker processes")
     exp.add_argument("--max-cond", type=int, default=None, help="cap conditioning-set size")
 

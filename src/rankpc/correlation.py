@@ -70,11 +70,9 @@ class Dataset:
         return self.values[:, j]
 
     def to_csv(self, path) -> None:
-        """Write with a header row; floats use shortest-exact decimal form."""
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(f"x{j}" for j in range(self.p)) + "\n")
-            for row in self.values:
-                fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+        """Write with a header row; floats in 17 significant digits, which read back exactly."""
+        header = ",".join(f"x{j}" for j in range(self.p))
+        np.savetxt(path, self.values, fmt="%.17g", delimiter=",", header=header, comments="")
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
@@ -84,9 +82,7 @@ class Dataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self.values.shape == other.values.shape and bool(
-            np.all(self.values == other.values)
-        )
+        return np.array_equal(self.values, other.values)
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, p={self.p})"
@@ -112,9 +108,9 @@ def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray, int]:
     return xa, ya, n
 
 
-def ranks(x, where: str = "") -> np.ndarray:
+def ranks(x) -> np.ndarray:
     """Ranks 1..n of a vector of distinct values; ties raise :class:`TieError`."""
-    return _rank_columns(_as_vector(x, where or "x")[:, None], (where,))[:, 0]
+    return _rank_columns(_as_vector(x, "x")[:, None], ("",))[:, 0]
 
 
 def _pair_ranks(x, y) -> np.ndarray:
@@ -289,13 +285,19 @@ def estimate_correlation_matrix(data: Dataset, method: str) -> np.ndarray:
 _ATOL = 1e-8
 
 
+def _check_square(name: str, m) -> np.ndarray:
+    """``m`` as a float array, once it is square and finite."""
+    arr = np.asarray(m, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
 def validate_correlation_matrix(sigma) -> np.ndarray:
     """Check square shape, symmetry, unit diagonal, and entry range, up to ``_ATOL``."""
-    mat = np.asarray(sigma, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"correlation matrix must be square, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("correlation matrix contains non-finite entries")
+    mat = _check_square("correlation matrix", sigma)
     if not np.all(np.abs(mat - mat.T) <= _ATOL):
         raise ValueError("correlation matrix is not symmetric")
     if not np.all(np.abs(np.diagonal(mat) - 1.0) <= _ATOL):

@@ -182,9 +182,7 @@ class Pdag:
                 und[u] |= 1 << v
                 und[v] |= 1 << u
             else:
-                a, b = (u, v) if st == forward else (v, u)
-                chi[a] |= 1 << b
-                par[b] |= 1 << a
+                _orient(par, chi, und, *((u, v) if st == forward else (v, u)))
         self.p, self._adj, self._par, self._chi, self._und = p, adj, par, chi, und
 
     @classmethod
@@ -332,6 +330,21 @@ def _two_nonadjacent(m: int, adj: list[int]) -> bool:
     return False
 
 
+def _orient(par: list[int], chi: list[int], und: list[int], a: int, b: int) -> bool:
+    """Write the arrow a -> b into the masks in place, over a - b or b -> a, and say whether
+    b -> a was set.  Every arrow of a Pdag, a CPDAG or a learned graph is written here."""
+    bit_a, bit_b = 1 << a, 1 << b
+    flipped = chi[b] & bit_a
+    if flipped:
+        chi[b] ^= bit_a
+        par[a] ^= bit_b
+    und[a] &= ~bit_b
+    und[b] &= ~bit_a
+    chi[a] |= bit_b
+    par[b] |= bit_a
+    return flipped != 0
+
+
 def _meek_fixpoint(adj: list[int], par: list[int], chi: list[int], und: list[int]) -> None:
     """Orient undirected edges compelled by the three closure rules, in the masks, in place.
 
@@ -353,10 +366,7 @@ def _meek_fixpoint(adj: list[int], par: list[int], chi: list[int], und: list[int
                 above &= above - 1
                 for a, b in ((u, v), (v, u)):
                     if par[a] & ~adj[b] or chi[a] & par[b] or _two_nonadjacent(und[a] & par[b], adj):
-                        und[a] ^= 1 << b
-                        und[b] ^= 1 << a
-                        chi[a] |= 1 << b
-                        par[b] |= 1 << a
+                        _orient(par, chi, und, a, b)
                         changed = True
                         break
         if not changed:
@@ -386,10 +396,7 @@ def cpdag(dag: Dag) -> Pdag:
     for v, m in enumerate(par):
         for u in _bits(m):
             if m & ~adj[u] & ~(1 << u):
-                c_par[v] |= 1 << u
-                c_chi[u] |= 1 << v
-                und[u] ^= 1 << v
-                und[v] ^= 1 << u
+                _orient(c_par, c_chi, und, u, v)
     masks = adj, c_par, c_chi, und
     _meek_fixpoint(*masks)
     return Pdag._adopt(p, masks)

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .correlation import validate_correlation_matrix
+from .correlation import _check_square, validate_correlation_matrix
 from .graph import _bits, _pairs, node_set
 
 __all__ = [
@@ -317,15 +317,6 @@ def rank_pc_error_bound(inputs: BoundInputs) -> float:
         / (36.0 * inputs.q**2)
     )
     return (inputs.a / 2.0) * inputs.p**2 * math.exp(expo)
-
-
-def _check_square(name: str, m) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
 
 
 def inverse_error_bound_holds(sigma, err, eps: float) -> bool:

@@ -2,12 +2,12 @@
 
 Level-wise skeleton search followed by collider orientation and the
 orientation closure.  Both work on one orientation state, per-node bitmasks
-of adjacent nodes, parents, children and undirected neighbours: colliders
-write it, the closure updates it, and the learned :class:`Pdag` takes it
-over as its own storage, so no fit builds a pair dict.  With
-a d-separation oracle the output is exactly the equivalence class of the
-data-generating DAG, and no query conditions on more than max-degree-many
-variables.
+of adjacent nodes (the search's own), parents, children and undirected
+neighbours: colliders and the closure write arrows into it, and the learned
+:class:`Pdag` takes it over as its own storage, so no fit builds a pair
+dict.  With a d-separation oracle the output is exactly the equivalence
+class of the data-generating DAG, and no query conditions on more than
+max-degree-many variables.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import compress
 from operator import not_
 
 from .citest import CiDecider
-from .graph import EdgeState, Pdag, _bits, _meek_fixpoint, _pairs, _union, pdag_to_text
+from .graph import EdgeState, Pdag, _bits, _meek_fixpoint, _orient, _pairs, _union, pdag_to_text
 
 __all__ = [
     "SkeletonResult",
@@ -31,13 +31,18 @@ __all__ = [
 
 @dataclass
 class SkeletonResult:
-    """Undirected adjacencies plus the separating sets found for removed pairs."""
+    """Undirected adjacencies, as per-node bitmasks, plus the separating sets found for removed pairs."""
 
     p: int
-    edges: set[tuple[int, int]]
+    adj: list[int]  # bit v of adj[u] and bit u of adj[v]: u and v stay adjacent
     sepsets: dict[tuple[int, int], tuple[int, ...]]
     tests_run: int
     max_cond_used: int  # largest |S| queried; -1 when nothing was queried
+
+    @property
+    def edges(self) -> set[tuple[int, int]]:
+        """The adjacent pairs u < v."""
+        return {(u, v) for u, m in enumerate(self.adj) for v in _bits(m & -(2 << u))}
 
 
 @dataclass
@@ -90,7 +95,7 @@ def pc_skeleton(
     ceiling = min((c for c in (max_cond, decider.max_cond_size) if c is not None), default=p)
     pairs = _pairs(p)
     if not pairs or ceiling < 0:
-        return SkeletonResult(p, set(pairs), {}, 0, -1)
+        return SkeletonResult(p, [((1 << p) - 1) ^ (1 << u) for u in range(p)], {}, 0, -1)
     independent = decider.marginally_independent(p)
     sepsets: dict[tuple[int, int], tuple[int, ...]] = dict.fromkeys(compress(pairs, independent), ())
     pairs = list(compress(pairs, map(not_, independent)))  # the adjacent pairs, after each level too
@@ -128,7 +133,7 @@ def pc_skeleton(
                     break
         pairs = [(u, v) for u, v in pairs if adj[u] >> v & 1]
         level += 1
-    return SkeletonResult(p, set(pairs), sepsets, tests_run, max_used)
+    return SkeletonResult(p, adj, sepsets, tests_run, max_used)
 
 
 def orient_colliders(
@@ -144,17 +149,18 @@ def orient_colliders(
     Conflicting orientations are overwritten last-write-wins and noted in the
     returned warnings.  The states are keyed in lexicographic pair order.
     """
-    masks, warnings = _collider_masks(edges, sepsets, p)
-    return Pdag._adopt(p, masks).pair_states(), warnings
-
-
-def _collider_masks(edges: set, sepsets: dict, p: int) -> tuple[tuple[list[int], ...], list[str]]:
-    """:func:`orient_colliders` on the bitmasks ``adj, par, chi, und``, returned with the warnings.
-    Writing a -> v clears v -> a, and warns when it was set."""
     adj = [0] * p
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    masks, warnings = _collider_masks(adj, sepsets)
+    return Pdag._adopt(p, masks).pair_states(), warnings
+
+
+def _collider_masks(adj: list[int], sepsets: dict) -> tuple[tuple[list[int], ...], list[str]]:
+    """:func:`orient_colliders` from the adjacency bitmasks ``adj``: the masks ``adj, par, chi,
+    und``, returned with the warnings.  Writing a -> v over v -> a warns."""
+    p = len(adj)
     par, chi, und = [0] * p, [0] * p, adj.copy()
     warnings: list[str] = []
     for u in range(p):
@@ -167,21 +173,14 @@ def _collider_masks(edges: set, sepsets: dict, p: int) -> tuple[tuple[list[int],
             for x in sep:
                 common &= ~(1 << x)
             while common:
-                bv = common & -common
-                common ^= bv
-                v = bv.bit_length() - 1
+                v = (common & -common).bit_length() - 1
+                common &= common - 1
                 for a in (u, w):  # u -> v, then w -> v
-                    if chi[v] >> a & 1:
+                    if _orient(par, chi, und, a, v):
                         warnings.append(
                             f"orientation conflict on pair {min(a, v), max(a, v)}: "
                             f"overwriting with {a} -> {v}"
                         )
-                        chi[v] ^= 1 << a
-                        par[a] ^= bv
-                    und[a] &= ~bv
-                    und[v] &= ~(1 << a)
-                    chi[a] |= bv
-                    par[v] |= 1 << a
     return (adj, par, chi, und), warnings
 
 
@@ -194,7 +193,7 @@ def run_pc(
     """Full PC: skeleton search, collider orientation, orientation closure."""
     start = len(decider.warnings)
     skel = pc_skeleton(decider, p, max_cond=max_cond, stable=stable)
-    masks, orient_warnings = _collider_masks(skel.edges, skel.sepsets, p)
+    masks, orient_warnings = _collider_masks(skel.adj, skel.sepsets)
     _meek_fixpoint(*masks)
     warnings = decider.warnings[start:] + orient_warnings
     return PcResult(

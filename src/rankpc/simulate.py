@@ -187,13 +187,14 @@ def sem_from_text(
     if not lines or not lines[0].startswith("p="):
         raise ValueError("model text must start with a 'p=<count>' header line")
     p = int(lines[0][2:])
-    edges = []
-    weights = np.zeros((p, p))
+    triples = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 5 or parts[1] != "->" or parts[3] != ":":
             raise ValueError(f"unrecognized weighted edge line: {ln!r}")
-        u, v, w = int(parts[0]), int(parts[2]), float(parts[4])
-        edges.append((u, v))
+        triples.append((int(parts[0]), int(parts[2]), float(parts[4])))
+    dag = Dag(p, [(u, v) for u, v, _ in triples])  # rejects a node out of range before it indexes weights
+    weights = np.zeros((p, p))
+    for u, v, w in triples:
         weights[u, v] = w
-    return SemModel(Dag(p, edges), weights, noise=noise, transform=transform)
+    return SemModel(dag, weights, noise=noise, transform=transform)

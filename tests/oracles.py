@@ -344,8 +344,7 @@ def naive_pc_skeleton(
                 sepsets[(u, v)] = sep
                 break
         level += 1
-    edges = {(u, v) for u in range(p) for v in adj[u] if u < v}
-    return SkeletonResult(p, edges, sepsets, tests_run, max_used)
+    return SkeletonResult(p, [sum(1 << v for v in adj[u]) for u in range(p)], sepsets, tests_run, max_used)
 
 
 # The stacked-Cholesky kernel that ``partial_corr_batch`` replaced, verbatim

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -11,7 +12,7 @@ from rankpc.cli import (
     main,
 )
 from rankpc.correlation import Dataset
-from rankpc.experiment import ExperimentConfig, records_from_csv, records_to_csv, write_plot_data
+from rankpc.experiment import REGIMES, ExperimentConfig, records_from_csv, records_to_csv, write_plot_data
 from rankpc.graph import Pdag, degree, pdag_from_text
 from rankpc.simulate import sem_from_text
 
@@ -116,6 +117,23 @@ def test_cmd_simulate_reruns_are_byte_identical(tmp_path):
     assert [p.name for p in paths_a] == [p.name for p in paths_b]
     for pa, pb in zip(paths_a, paths_b):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+SIMULATE_DIGESTS = {  # sha256 of every file, pinned so any change to the writers' bytes shows
+    "data_normal_p5_n20_r0.csv": "ca1c097dbeddced15ab4e235d3d338f7b214548287e52e925e340c9760315fa0",
+    "model_normal_p5_n20_r0.txt": "d32a68e2f14d6a203e45251fc15ae2a8cc10cd4bba49f6f7e2761da760eb9308",
+    "data_f11_p5_n20_r0.csv": "062a7465549169cf30a75c854be4493e5880ca9756bf3df25dee767b55362b34",
+    "model_f11_p5_n20_r0.txt": "3bf590f38721cf955821fd726468570c94354ccda93404acbdc5b40415d0b02f",
+    "data_contaminated_p5_n20_r0.csv": "56afce8fc3a2c197ee31e5a00cb5c4242c6c494e5286455f4e0be4b46c3819d5",
+    "model_contaminated_p5_n20_r0.txt": "171b40c9ee4fde7507af62ccf11449a1a615c1e3865cda52d60b83d8828de3c3",
+    "manifest.txt": "1af4da9b6fe8ddbd25b042e6dca5d7d19f646d04df4a8f11a46194741c07b160",
+}
+
+
+def test_cmd_simulate_writes_pinned_bytes(tmp_path):
+    config = ExperimentConfig(p_values=(5,), n_values=(20,), degree=2.0, regimes=REGIMES, replicates=1, seed=3)
+    written = cmd_simulate(config, tmp_path)
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written} == SIMULATE_DIGESTS
 
 
 def test_main_simulate_with_seed_override(tmp_path):

@@ -12,12 +12,13 @@ from scipy.special import ndtr
 
 from oracles import comprehension_random_dag, triangular_raw_covariance
 from rankpc.correlation import (
+    Dataset,
     _finish,
     estimate_correlation_matrix,
     ranks,
     validate_correlation_matrix,
 )
-from rankpc.graph import Dag, d_separated
+from rankpc.graph import Dag, EdgeState, Pdag, d_separated
 from rankpc.partial import partial_corr_inverse
 from rankpc.simulate import (
     SemModel,
@@ -314,6 +315,22 @@ def test_sem_text_round_trip():
     assert back.noise == "cauchy_mixture"
 
 
+def test_value_types_hash_compare_and_print():
+    dag = Dag(3, [(2, 1), (0, 1)])
+    assert len({dag, Dag(3, [(0, 1), (2, 1)])}) == 1  # equal DAGs hash alike
+    weights = np.zeros((3, 3))
+    weights[0, 1], weights[2, 1] = 0.5, -1.0
+    model = SemModel(dag, weights, noise="cauchy_mixture")
+    data = Dataset(np.zeros((4, 2)))
+    pdag = Pdag(3, {(0, 1): EdgeState.UNDIRECTED, (1, 2): EdgeState.BACKWARD})
+    for value in (dag, data, pdag):
+        assert value != "foreign" and not value == object()
+    assert repr(dag) == "Dag(p=3, edges=[(0, 1), (2, 1)])"
+    assert repr(data) == "Dataset(n=4, p=2)"
+    assert repr(model) == "SemModel(p=3, edges=2, noise='cauchy_mixture', transform='identity')"
+    assert repr(pdag) == "Pdag(p=3, [0 -- 1, 2 -> 1])"
+
+
 def test_sem_from_text_rejects_malformed():
     with pytest.raises(ValueError):
         sem_from_text("0 -> 1 : 0.5\n")
@@ -321,3 +338,7 @@ def test_sem_from_text_rejects_malformed():
         sem_from_text("p=2\n0 -> 1\n")
     with pytest.raises(ValueError):
         sem_from_text("p=2\n0 => 1 : 0.5\n")
+    with pytest.raises(ValueError, match=r"^edge \(0, 5\) out of range for p=2$"):
+        sem_from_text("p=2\n0 -> 5 : 0.5\n")
+    with pytest.raises(ValueError, match=r"^edge \(-1, 0\) out of range for p=2$"):
+        sem_from_text("p=2\n-1 -> 0 : 0.5\n")

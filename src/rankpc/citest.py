@@ -22,7 +22,7 @@ import numpy as np
 
 from ._normal import ndtri
 from .correlation import METHODS
-from .graph import Dag, _bits, _pairs, d_separated
+from .graph import Dag, _bits, _count, _pairs, d_separated
 from .partial import NotPositiveDefiniteError, PartialCorrelations, _query
 
 LEVEL_ONE_BLOCK = 65536  # entries (pairs x nodes) per level-1 block, which bounds its gathered rows to 2 MiB
@@ -87,22 +87,17 @@ def gamma_threshold(n: int, s_size: int, z: float) -> float:
     m = n - s_size - 3
     if m < 1:
         raise ValueError(f"need n - s_size - 3 >= 1, got n={n}, s_size={s_size}")
-    return _z_cutoffs(n, z, range(s_size, s_size + 1))[0]
-
-
-@lru_cache(maxsize=64)
-def _two_sided_z(alpha: float) -> float:
-    """The z of level ``alpha`` for :func:`gamma_threshold`: twice the normal quantile at 1 - alpha/2."""
-    return 2.0 * ndtri(1.0 - alpha / 2.0)
-
-
-@lru_cache(maxsize=64)
-def _z_cutoffs(n: int, z: float, sizes: range) -> tuple[float, ...]:
-    """:func:`gamma_threshold` at each size in ``sizes``, each n - size - 3 >= 1; z checked once."""
-    if sizes and (z < 0 or not math.isfinite(z)):
+    if z < 0 or not math.isfinite(z):
         raise ValueError(f"z must be finite and nonnegative, got {z}")
-    xs = [z / math.sqrt(n - s - 3) for s in sizes]
-    return tuple(-math.expm1(-x) / (1.0 + math.exp(-x)) for x in xs)
+    x = z / math.sqrt(m)
+    return -math.expm1(-x) / (1.0 + math.exp(-x))
+
+
+@lru_cache(maxsize=64)
+def _fisher_cutoffs(n: int, alpha: float, levels: int) -> tuple[float, ...]:
+    """:func:`gamma_threshold` at each size below ``levels``, with z = 2 ndtri(1 - alpha/2): level alpha."""
+    z = 2.0 * ndtri(1.0 - alpha / 2.0)
+    return tuple(gamma_threshold(n, s, z) for s in range(levels))
 
 
 class CiDecider:
@@ -189,10 +184,10 @@ class RankCiDecider(CiDecider):
     def __init__(self, sigma, n: int, config: TestConfig):
         super().__init__()
         self.partials = sigma if isinstance(sigma, PartialCorrelations) else PartialCorrelations(sigma)
-        p, n = self.partials.sigma.shape[0], int(n)
+        p, n = self.partials.sigma.shape[0], _count(n, "sample size", 1)
         if config.variant == "fisher_z":
             self.max_cond_size = n - 4
-            self.cutoffs = list(_z_cutoffs(n, _two_sided_z(config.alpha), range(min(p, n - 3))))
+            self.cutoffs = list(_fisher_cutoffs(n, config.alpha, min(p, n - 3)))
         else:
             self.max_cond_size = None
             self.cutoffs = [float(config.gamma)] * p

@@ -31,7 +31,7 @@ from .experiment import (
     summary_to_csv,
     write_plot_data,
 )
-from .graph import cpdag, degree, pdag_to_text
+from .graph import _count, cpdag, degree, pdag_to_text
 from .pc import run_pc
 from .simulate import random_dag, sem_to_text
 
@@ -70,8 +70,7 @@ def cmd_oracle_check(p_max: int = 6, trials: int = 200, seed: int = 0) -> Oracle
     """
     if not 1 <= p_max <= 8:
         raise ValueError(f"p_max must be in 1..8, got {p_max}")
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
+    trials = _count(trials, "trials", 0)
     rng = np.random.default_rng(seed)
     exact = 0
     within = True

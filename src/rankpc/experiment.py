@@ -18,7 +18,7 @@ import configparser
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import product
-from numbers import Integral
+from numbers import Integral, Real
 from operator import attrgetter
 from pathlib import Path
 from time import perf_counter
@@ -27,7 +27,7 @@ import numpy as np
 
 from .citest import RankCiDecider, TestConfig
 from .correlation import METHODS, estimate_correlation_matrix
-from .graph import cpdag, shd
+from .graph import _count, cpdag, shd
 from .partial import PartialCorrelations
 from .pc import run_pc
 from .simulate import SemModel, derive_seed, random_dag, random_weights, sample_sem
@@ -102,6 +102,8 @@ class ExperimentConfig:
             for v in values:
                 if isinstance(v, bool) or not isinstance(v, Integral):  # a bool acts as 0 or 1, a float is cut
                     raise ConfigError(f"{field}: {v!r} is not an integer")
+        if isinstance(self.degree, bool) or not isinstance(self.degree, Real):  # True would seed apart from 1.0
+            raise ConfigError(f"degree: {self.degree!r} is not a number")
         if not self.degree > 0:
             raise ConfigError(f"expected degree must be positive, got {self.degree}")
         for p in self.p_values:
@@ -284,8 +286,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     A failing run is reported in ``failures`` and skipped, never fatal.
     Records come back sorted, so output does not depend on scheduling.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
+    threads = _count(threads, "threads", 1)
     tasks = [(config, *cell) for cell in _replicate_cells(config)]
     records: list[ExperimentRecord] = []
     failures: list[str] = []

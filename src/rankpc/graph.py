@@ -38,6 +38,13 @@ __all__ = [
 ]
 
 
+def _count(value, what: str, low: int) -> int:
+    """``value`` as an int of at least ``low`` (0 or 1): any integral type but bool, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{what} must be a {'positive' if low else 'nonnegative'} integer, got {value!r}")
+    return int(value)
+
+
 def node_set(nodes: Iterable[int], p: int | None = None) -> tuple[int, ...]:
     """Normalize a collection of node indices to a sorted tuple.
 
@@ -73,8 +80,7 @@ class Dag:
     __slots__ = ("p", "edges", "_par", "_chi", "_topo")
 
     def __init__(self, p: int, edges: Iterable[tuple[int, int]] = ()):
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise ValueError(f"node count must be a positive integer, got {p!r}")
+        p = _count(p, "node count", 1)
         par, chi = [0] * p, [0] * p
         edge_list: list[tuple[int, int]] = []
         for u, v in edges:
@@ -165,8 +171,7 @@ class Pdag:
     __slots__ = ("p", "_adj", "_par", "_chi", "_und")
 
     def __init__(self, p: int, states: Mapping[tuple[int, int], EdgeState] = ()):
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise ValueError(f"node count must be a positive integer, got {p!r}")
+        p = _count(p, "node count", 1)
         adj, par, chi, und = ([0] * p for _ in range(4))
         absent, undirected, forward = EdgeState.ABSENT, EdgeState.UNDIRECTED, EdgeState.FORWARD
         for (u, v), st in dict(states).items():
@@ -437,15 +442,18 @@ def pdag_to_text(pdag: Pdag) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_edge_lines(text: str) -> tuple[int, list[tuple[int, int, str]]]:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+def _edge_lines(text: str) -> tuple[int, list[tuple[str, list[str]]]]:
+    """The count of the 'p=<count>' header line, then each later non-blank line, stripped, with its fields."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines or not lines[0].startswith("p="):
         raise ValueError("edge list must start with a 'p=<count>' header line")
-    p = int(lines[0][2:])
+    return int(lines[0][2:]), [(ln, ln.split()) for ln in lines[1:]]
+
+
+def _parse_edge_lines(text: str) -> tuple[int, list[tuple[int, int, str]]]:
+    p, lines = _edge_lines(text)
     triples = []
-    for ln in lines[1:]:
-        parts = ln.split()
+    for ln, parts in lines:
         if len(parts) != 3 or parts[1] not in ("->", "--"):
             raise ValueError(f"unrecognized edge line: {ln!r}")
         triples.append((int(parts[0]), int(parts[2]), parts[1]))

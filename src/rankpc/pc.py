@@ -17,7 +17,7 @@ from itertools import compress
 from operator import not_
 
 from .citest import CiDecider
-from .graph import EdgeState, Pdag, _bits, _meek_fixpoint, _orient, _pairs, _union, pdag_to_text
+from .graph import EdgeState, Pdag, _bits, _count, _meek_fixpoint, _orient, _pairs, _union, pdag_to_text
 
 __all__ = [
     "SkeletonResult",
@@ -88,10 +88,8 @@ def pc_skeleton(
     The level ceiling is the smallest of ``max_cond`` and the decider's own
     ``max_cond_size``, when given; no walk passes level p - 2 anyway.
     """
-    if p < 1:
-        raise ValueError(f"node count must be positive, got {p}")
-    if max_cond is not None and max_cond < 0:
-        raise ValueError(f"max_cond must be nonnegative, got {max_cond}")
+    p = _count(p, "node count", 1)
+    max_cond = None if max_cond is None else _count(max_cond, "max_cond", 0)
     ceiling = min((c for c in (max_cond, decider.max_cond_size) if c is not None), default=p)
     pairs = _pairs(p)
     if not pairs or ceiling < 0:
@@ -99,10 +97,7 @@ def pc_skeleton(
     independent = decider.marginally_independent(p)
     sepsets: dict[tuple[int, int], tuple[int, ...]] = dict.fromkeys(compress(pairs, independent), ())
     pairs = list(compress(pairs, map(not_, independent)))  # the adjacent pairs, after each level too
-    adj = [0] * p
-    for u, v in pairs:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _adjacency(p, pairs)
     tests_run = len(sepsets) + 2 * len(pairs)
     max_used = 0
     level = 1
@@ -149,12 +144,17 @@ def orient_colliders(
     Conflicting orientations are overwritten last-write-wins and noted in the
     returned warnings.  The states are keyed in lexicographic pair order.
     """
+    masks, warnings = _collider_masks(_adjacency(p, edges), sepsets)
+    return Pdag._adopt(p, masks).pair_states(), warnings
+
+
+def _adjacency(p: int, pairs) -> list[int]:
+    """Per-node bitmasks of p nodes with the undirected edges ``pairs``."""
     adj = [0] * p
-    for u, v in edges:
+    for u, v in pairs:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    masks, warnings = _collider_masks(adj, sepsets)
-    return Pdag._adopt(p, masks).pair_states(), warnings
+    return adj
 
 
 def _collider_masks(adj: list[int], sepsets: dict) -> tuple[tuple[list[int], ...], list[str]]:
@@ -197,7 +197,7 @@ def run_pc(
     _meek_fixpoint(*masks)
     warnings = decider.warnings[start:] + orient_warnings
     return PcResult(
-        pdag=Pdag._adopt(p, masks),
+        pdag=Pdag._adopt(skel.p, masks),  # skel.p is an int, whatever integer type p is
         sepsets=skel.sepsets,
         tests_run=skel.tests_run,
         max_cond_used=skel.max_cond_used,

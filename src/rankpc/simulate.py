@@ -15,7 +15,7 @@ import numpy as np
 
 from ._normal import ndtr
 from .correlation import Dataset, _finish
-from .graph import Dag, _pairs
+from .graph import Dag, _count, _edge_lines, _pairs
 
 __all__ = [
     "NOISES",
@@ -84,8 +84,7 @@ def random_dag(p: int, s: float, rng: np.random.Generator) -> Dag:
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {s}")
-    if p < 1:
-        raise ValueError(f"node count must be positive, got {p}")
+    p = _count(p, "node count", 1)
     pairs = _pairs(p)
     return Dag(p, [pairs[i] for i in np.flatnonzero(rng.random(len(pairs)) < s).tolist()])
 
@@ -148,8 +147,7 @@ def sample_sem(model: SemModel, n: int, rng: np.random.Generator) -> Dataset:
     marginal transform, so the 'f11' dataset is exactly the transformed
     version of the 'identity' dataset for an equal seed.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be positive, got {n}")
+    n = _count(n, "sample size", 1)
     p = model.dag.p
     eps = _draw_noise(model.noise, n, p, rng)
     x = np.empty((n, p))
@@ -183,13 +181,9 @@ def sem_to_text(model: SemModel) -> str:
 def sem_from_text(
     text: str, noise: str = "standard_normal", transform: str = "identity"
 ) -> SemModel:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("p="):
-        raise ValueError("model text must start with a 'p=<count>' header line")
-    p = int(lines[0][2:])
+    p, lines = _edge_lines(text)
     triples = []
-    for ln in lines[1:]:
-        parts = ln.split()
+    for ln, parts in lines:
         if len(parts) != 5 or parts[1] != "->" or parts[3] != ":":
             raise ValueError(f"unrecognized weighted edge line: {ln!r}")
         triples.append((int(parts[0]), int(parts[2]), float(parts[4])))

@@ -81,6 +81,8 @@ def test_config_validation_errors():
         (dict(degree=0.0), "expected degree must be positive, got 0.0"),
         (dict(degree=math.nan), "expected degree must be positive, got nan"),
         (dict(degree=6.0), "expected degree 6.0 impossible at p=6 (max 5)"),  # d >= p
+        (dict(degree=True), "degree: True is not a number"),  # else it seeds apart from 1.0 yet prints as 1
+        (dict(degree="3"), "degree: '3' is not a number"),
         (dict(regimes=()), "need at least one regime"),
         (
             dict(regimes=("weird",)),
@@ -127,6 +129,7 @@ def test_config_validation_errors():
             ExperimentConfig(**dict(good, **fault))
         assert str(exc.value) == message, fault
     ExperimentConfig(**dict(good, p_values=(np.int64(6),), replicates=np.int32(2), max_cond=0))  # any integral type
+    ExperimentConfig(**dict(good, degree=np.float64(2.0)))  # any real type
     tiny = run_experiment(mini_config(replicates=1, alpha_log10=(-15.0,)))  # still a finite cutoff
     assert tiny.records and tiny.failures == []
 

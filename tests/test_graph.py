@@ -22,6 +22,7 @@ from rankpc.graph import (
     skeleton,
     unshielded_colliders,
 )
+from rankpc.simulate import SemModel, sem_from_text, sem_to_text
 
 from oracles import (
     _collider_triples,
@@ -382,6 +383,35 @@ def test_dag_text_round_trip():
 def test_pdag_text_round_trip():
     g = cpdag(Dag(4, [(0, 2), (1, 2), (2, 3)]))
     assert pdag_from_text(pdag_to_text(g)) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(1, 15), s=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1), pad=st.sampled_from(" \t"))
+def test_edge_list_texts_round_trip_through_one_header_reader(p, s, seed, pad):
+    # dag, pdag and sem texts share one reader of the 'p=' header and the lines after it
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(p)  # relabelled, so arrows point both ways in pair order
+    dag = Dag(p, [(perm[u], perm[v]) for u, v in random_dag_edges(rng, p, s).edges])
+    weights = np.zeros((p, p))
+    for u, v in sorted(dag.edges):
+        weights[u, v] = rng.standard_normal() * 10.0 ** rng.uniform(-8, 8)
+    model = SemModel(dag, weights)
+    texts = {
+        dag_from_text: dag_to_text(dag),
+        pdag_from_text: pdag_to_text(cpdag(dag)),
+        sem_from_text: sem_to_text(model),
+    }
+    for read, text in texts.items():
+        padded = "\n" + "".join(f"{pad * 2}{ln}{pad}\n\n" for ln in text.splitlines()) + pad
+        for back in (read(text), read(padded)):
+            if read is sem_from_text:
+                assert back.dag == dag and back.weights.tobytes() == model.weights.tobytes()
+            else:
+                assert back == (dag if read is dag_from_text else cpdag(dag))
+        headless = text.split("\n", 1)[1]
+        with pytest.raises(ValueError) as exc:
+            read(headless)
+        assert str(exc.value) == "edge list must start with a 'p=<count>' header line"
 
 
 def test_dag_from_text_rejects_malformed_input():

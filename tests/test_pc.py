@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
@@ -5,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import rankpc.partial
 from rankpc.citest import CiDecider, OracleDecider, RankCiDecider, TestConfig
+from rankpc.cli import cmd_oracle_check
 from rankpc.correlation import estimate_correlation_matrix
+from rankpc.experiment import ExperimentConfig, run_experiment
 from rankpc.graph import Dag, EdgeState, Pdag, cpdag, meek_closure, skeleton
 from rankpc.partial import PartialCorrelations
 from rankpc.pc import PcResult, orient_colliders, pc_result_to_text, pc_skeleton, run_pc
@@ -494,3 +498,52 @@ def test_run_pc_with_threshold_decider_on_exact_sigma():
         dec = RankCiDecider(sigma, 1000, TestConfig("threshold", gamma=1e-7))
         res = run_pc(dec, 5)
         assert res.pdag == cpdag(dag), dag
+
+
+def _count_sites():
+    """Each entry point that takes a count: (call of the count, what it counts, its kind, a good count)."""
+    dag = Dag(4, [(0, 1), (2, 1), (1, 3)])
+    model = SemModel(dag, random_weights(dag, np.random.default_rng(3)))
+    tiny = ExperimentConfig(p_values=(4,), n_values=(50,), degree=1.0, methods=("spearman",),
+                            alpha_log10=(-2.0,), replicates=1)
+
+    def decider(n):
+        dec = RankCiDecider(np.eye(3), n, TestConfig("fisher_z", alpha=0.05))
+        return dec.cutoffs, dec.max_cond_size
+
+    def fit(p):
+        res = run_pc(OracleDecider(dag), p)
+        return res.pdag, type(res.pdag.p)
+
+    return {
+        "Dag": (lambda k: (Dag(k, [(0, 1)]), type(Dag(k).p)), "node count", "positive", 3),
+        "Pdag": (lambda k: (Pdag(k, {(0, 1): EdgeState.UNDIRECTED}), type(Pdag(k).p)), "node count", "positive", 3),
+        "pc_skeleton.p": (lambda k: pc_skeleton(OracleDecider(dag), k), "node count", "positive", 4),
+        "pc_skeleton.max_cond": (
+            lambda k: pc_skeleton(OracleDecider(dag), 4, max_cond=k), "max_cond", "nonnegative", 1,
+        ),
+        "run_pc": (fit, "node count", "positive", 4),
+        "random_dag": (lambda k: random_dag(k, 0.5, np.random.default_rng(0)), "node count", "positive", 5),
+        "sample_sem": (
+            lambda k: sample_sem(model, k, np.random.default_rng(0)).values.tobytes(), "sample size", "positive", 9,
+        ),
+        "RankCiDecider": (decider, "sample size", "positive", 100),
+        "run_experiment": (
+            lambda k: [replace(r, runtime_ms=0.0) for r in run_experiment(tiny, threads=k).records],
+            "threads", "positive", 1,
+        ),
+        "cmd_oracle_check": (lambda k: cmd_oracle_check(4, k, seed=0), "trials", "nonnegative", 3),
+    }
+
+
+@pytest.mark.parametrize("site", list(_count_sites()))
+def test_every_count_takes_numpy_integers_and_rejects_the_rest(site):
+    # one rule, graph._count: any integral type but bool, read as the equal int
+    call, what, kind, good = _count_sites()[site]
+    want = call(good)
+    assert call(np.int64(good)) == want
+    assert call(np.int32(good)) == want
+    for bad in (True, 2.5, "3"):
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value) == f"{what} must be a {kind} integer, got {bad!r}"

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._normal import ndtri
 from .correlation import METHODS
-from .graph import Dag, _bits, _count, _pairs, d_separated
+from .graph import Dag, _bits, _count, _pairs, _real, d_separated
 from .partial import NotPositiveDefiniteError, PartialCorrelations, _query
 
 LEVEL_ONE_BLOCK = 65536  # entries (pairs x nodes) per level-1 block, which bounds its gathered rows to 2 MiB
@@ -63,12 +63,12 @@ class TestConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.variant == "threshold":
-            if self.gamma is None or not 0.0 <= self.gamma <= 1.0:
+            if self.gamma is None or not 0.0 <= _real(self.gamma, "gamma") <= 1.0:
                 raise ValueError(f"threshold variant needs gamma in [0, 1], got {self.gamma}")
             if self.alpha is not None:
                 raise ValueError("alpha is meaningless for the threshold variant")
         else:
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
+            if self.alpha is None or not 0.0 < _real(self.alpha, "alpha") < 1.0:
                 raise ValueError(f"fisher_z variant needs alpha in (0, 1), got {self.alpha}")
             if 1.0 - self.alpha / 2.0 == 1.0:  # ndtri(1) is inf: no finite cutoff
                 raise ValueError(f"fisher_z variant needs alpha above 2**-53 (about 1.1e-16), got {self.alpha}")
@@ -82,11 +82,8 @@ def gamma_threshold(n: int, s_size: int, z: float) -> float:
     gamma = (exp(z/sqrt(m)) - 1) / (exp(z/sqrt(m)) + 1) with m = n - s_size - 3;
     z is twice the normal quantile at 1 - alpha/2.
     """
-    if s_size < 0:
-        raise ValueError(f"conditioning size must be nonnegative, got {s_size}")
-    m = n - s_size - 3
-    if m < 1:
-        raise ValueError(f"need n - s_size - 3 >= 1, got n={n}, s_size={s_size}")
+    s_size = _count(s_size, "conditioning size", 0)
+    m = _count(n, "sample size", s_size + 4) - s_size - 3
     if z < 0 or not math.isfinite(z):
         raise ValueError(f"z must be finite and nonnegative, got {z}")
     x = z / math.sqrt(m)

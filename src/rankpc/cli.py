@@ -68,10 +68,8 @@ def cmd_oracle_check(p_max: int = 6, trials: int = 200, seed: int = 0) -> Oracle
     {0.2, 0.4, 0.6}.  Also verifies that no query conditioned on more
     variables than the true maximum degree.
     """
-    if not 1 <= p_max <= 8:
-        raise ValueError(f"p_max must be in 1..8, got {p_max}")
-    trials = _count(trials, "trials", 0)
-    rng = np.random.default_rng(seed)
+    p_max, trials = _count(p_max, "p_max", 1, 8), _count(trials, "trials", 0)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     exact = 0
     within = True
     failures: list[str] = []

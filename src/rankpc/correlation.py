@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .graph import _count
+
 __all__ = [
     "TieError",
     "Dataset",
@@ -177,8 +179,7 @@ def tail_bound_constants(method: str) -> tuple[float, float]:
 
 def estimation_tail_bound(method: str, n: int, eps: float) -> float:
     """Evaluate the deviation bound A * exp(-B * n * eps**2) for one estimator."""
-    if n < 1:
-        raise ValueError(f"sample size must be positive, got {n}")
+    n = _count(n, "sample size", 1)
     if not eps > 0:
         raise ValueError(f"deviation eps must be positive, got {eps}")
     a, b = tail_bound_constants(method)

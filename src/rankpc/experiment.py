@@ -18,7 +18,6 @@ import configparser
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import product
-from numbers import Integral, Real
 from operator import attrgetter
 from pathlib import Path
 from time import perf_counter
@@ -27,7 +26,7 @@ import numpy as np
 
 from .citest import RankCiDecider, TestConfig
 from .correlation import METHODS, estimate_correlation_matrix
-from .graph import _count, cpdag, shd
+from .graph import _count, _real, cpdag, shd
 from .partial import PartialCorrelations
 from .pc import run_pc
 from .simulate import SemModel, derive_seed, random_dag, random_weights, sample_sem
@@ -96,26 +95,22 @@ class ExperimentConfig:
                 raise ConfigError(f"need at least one {one}")
             if len(set(values)) != len(values):
                 raise ConfigError(f"duplicate {several}")
-        integers = {"p_values": self.p_values, "n_values": self.n_values, "replicates": [self.replicates],
-                    "seed": [self.seed], "max_cond": [] if self.max_cond is None else [self.max_cond]}
-        for field, values in integers.items():
-            for v in values:
-                if isinstance(v, bool) or not isinstance(v, Integral):  # a bool acts as 0 or 1, a float is cut
-                    raise ConfigError(f"{field}: {v!r} is not an integer")
-        if isinstance(self.degree, bool) or not isinstance(self.degree, Real):  # True would seed apart from 1.0
-            raise ConfigError(f"degree: {self.degree!r} is not a number")
+        # integer field -> its least value (n >= 4 for the z test); a bool acts as 0 or 1, a float is cut
+        try:
+            for field, low in {"p_values": 2, "n_values": 4, "replicates": 1, "seed": 0, "max_cond": 0}.items():
+                values = getattr(self, field)  # each entry of a list field; a scalar, unless max_cond is None
+                for v in values if field in _LIST_FIELDS else () if values is None else (values,):
+                    _count(v, field, low)
+            _real(self.degree, "degree")  # True would seed apart from 1.0
+        except ValueError as err:
+            raise ConfigError(*err.args) from None
         if not self.degree > 0:
             raise ConfigError(f"expected degree must be positive, got {self.degree}")
         for p in self.p_values:
-            if p < 2:
-                raise ConfigError(f"p must be at least 2, got {p}")
             if self.degree > p - 1:
                 raise ConfigError(
                     f"expected degree {self.degree} impossible at p={p} (max {p - 1})"
                 )
-        for n in self.n_values:
-            if n < 4:
-                raise ConfigError(f"n must be at least 4 for the z test, got {n}")
         for kind, names, known in (("regime", self.regimes, REGIMES), ("method", self.methods, METHODS)):
             for name in names:
                 if name not in known:
@@ -127,12 +122,6 @@ class ExperimentConfig:
                 TestConfig("fisher_z", alpha=10.0**v)
             except ValueError as err:
                 raise ConfigError(f"log10 alpha {v}: {err}") from None
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be at least 1, got {self.replicates}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.max_cond is not None and self.max_cond < 0:
-            raise ConfigError(f"max_cond must be nonnegative, got {self.max_cond}")
 
 
 def _list(cast):

@@ -14,8 +14,7 @@ from __future__ import annotations
 from enum import IntEnum
 from functools import lru_cache
 from itertools import combinations
-from numbers import Integral
-from operator import index
+from numbers import Integral, Real
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -38,11 +37,25 @@ __all__ = [
 ]
 
 
-def _count(value, what: str, low: int) -> int:
-    """``value`` as an int of at least ``low`` (0 or 1): any integral type but bool, else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-        raise ValueError(f"{what} must be a {'positive' if low else 'nonnegative'} integer, got {value!r}")
-    return int(value)
+def _count(value, what: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int in ``low..high`` (no upper end when None): any integral type but bool, else ValueError.
+
+    The one check of every count and node index; an exact int skips the ABC check, as edges come in bulk."""
+    if type(value) is int or isinstance(value, Integral) and not isinstance(value, bool):
+        if low <= value and (high is None or value <= high):
+            return int(value)
+    if high is not None:
+        rule = f"an integer in {low}..{high}"
+    else:
+        rule = {0: "a nonnegative integer", 1: "a positive integer"}.get(low, f"an integer of at least {low}")
+    raise ValueError(f"{what} must be {rule}, got {value!r}")
+
+
+def _real(value, what: str):
+    """``value`` itself if it is a real number of any type but bool, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{what}: {value!r} is not a number")
+    return value
 
 
 def node_set(nodes: Iterable[int], p: int | None = None) -> tuple[int, ...]:
@@ -51,15 +64,10 @@ def node_set(nodes: Iterable[int], p: int | None = None) -> tuple[int, ...]:
     Raises ValueError on duplicates, non-integers, or indices outside
     ``0..p-1`` when ``p`` is given.  NumPy integers are accepted as ints.
     """
-    items = list(nodes)
-    for x in items:
-        if not isinstance(x, Integral) or isinstance(x, bool):
-            raise ValueError(f"node index must be an integer, got {x!r}")
-        if x < 0 or (p is not None and x >= p):
-            raise ValueError(f"node index {x} out of range for p={p}")
+    items = [_count(x, "node index", 0, None if p is None else p - 1) for x in nodes]
     if len(set(items)) != len(items):
         raise ValueError(f"duplicate node indices in {items}")
-    return tuple(sorted(map(int, items)))
+    return tuple(sorted(items))
 
 
 class Dag:
@@ -84,9 +92,7 @@ class Dag:
         par, chi = [0] * p, [0] * p
         edge_list: list[tuple[int, int]] = []
         for u, v in edges:
-            u, v = index(u), index(v)  # a NumPy integer becomes an int, a float raises TypeError
-            if not (0 <= u < p and 0 <= v < p):
-                raise ValueError(f"edge ({u}, {v}) out of range for p={p}")
+            u, v = _count(u, "node index", 0, p - 1), _count(v, "node index", 0, p - 1)
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if (par[u] | chi[u]) >> v & 1:
@@ -100,10 +106,7 @@ class Dag:
             raise ValueError("edge set contains a directed cycle")
 
     def _node(self, v: int) -> int:
-        v = index(v)
-        if not 0 <= v < self.p:
-            raise ValueError(f"node {v} out of range for p={self.p}")
-        return v
+        return _count(v, "node index", 0, self.p - 1)
 
     def parents(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self._par[self._node(v)]))
@@ -175,8 +178,8 @@ class Pdag:
         adj, par, chi, und = ([0] * p for _ in range(4))
         absent, undirected, forward = EdgeState.ABSENT, EdgeState.UNDIRECTED, EdgeState.FORWARD
         for (u, v), st in dict(states).items():
-            u, v = index(u), index(v)  # a NumPy integer becomes an int, a float raises TypeError
-            if not 0 <= u < v < p:
+            u, v = _count(u, "node index", 0, p - 1), _count(v, "node index", 0, p - 1)
+            if u >= v:
                 raise ValueError(f"pair ({u}, {v}) must satisfy 0 <= u < v < p={p}")
             st = st if isinstance(st, EdgeState) else EdgeState(st)
             if st == absent:
@@ -199,8 +202,8 @@ class Pdag:
 
     def state(self, u: int, v: int) -> EdgeState:
         """State of the pair, from the perspective (u, v): FORWARD means u -> v."""
-        u, v = index(u), index(v)
-        if u == v or not (0 <= u < self.p and 0 <= v < self.p):
+        u, v = _count(u, "node index", 0, self.p - 1), _count(v, "node index", 0, self.p - 1)
+        if u == v:
             raise ValueError(f"invalid pair ({u}, {v}) for p={self.p}")
         if not self._adj[u] >> v & 1:
             return EdgeState.ABSENT

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .correlation import _check_square, validate_correlation_matrix
-from .graph import _bits, _pairs, node_set
+from .graph import _bits, _count, _pairs, node_set
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -238,10 +238,7 @@ def min_nonzero_partial_corr(sigma, q: int | None = None):
     p = mat.shape[0]
     if p < 2:
         raise ValueError(f"need at least 2 variables, got p={p}")
-    if q is None:
-        q = p
-    if not 2 <= q <= p:
-        raise ValueError(f"q must be in 2..{p}, got {q}")
+    q = p if q is None else _count(q, "q", 2, p)
     best = None
     for u, v in _pairs(p):
         others = [w for w in range(p) if w != u and w != v]
@@ -261,8 +258,7 @@ def min_submatrix_eigenvalue(sigma, q: int) -> float:
     """Smallest eigenvalue over all q x q principal submatrices."""
     mat = validate_correlation_matrix(sigma)
     p = mat.shape[0]
-    if not 1 <= q <= p:
-        raise ValueError(f"q must be in 1..{p}, got {q}")
+    q = _count(q, "q", 1, p)
     best = math.inf
     for idx in combinations(range(p), q):
         vals = np.linalg.eigvalsh(mat[np.ix_(idx, idx)])
@@ -291,12 +287,9 @@ class BoundInputs:
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
             raise ValueError(f"constants must be positive, got a={self.a}, b={self.b}")
-        if self.p < 1:
-            raise ValueError(f"p must be positive, got {self.p}")
-        if self.q < 2:
-            raise ValueError(f"q must be at least 2, got {self.q}")
-        if self.n <= self.q:
-            raise ValueError(f"need n > q, got n={self.n}, q={self.q}")
+        object.__setattr__(self, "p", _count(self.p, "p", 1))
+        object.__setattr__(self, "q", _count(self.q, "q", 2))
+        object.__setattr__(self, "n", _count(self.n, "n", self.q + 1))
         if not 0.0 <= self.c <= 1.0:
             raise ValueError(f"c must lie in [0, 1], got {self.c}")
         if not 0.0 <= self.lam <= 1.0:

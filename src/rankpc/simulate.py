@@ -15,7 +15,7 @@ import numpy as np
 
 from ._normal import ndtr
 from .correlation import Dataset, _finish
-from .graph import Dag, _count, _edge_lines, _pairs
+from .graph import Dag, _count, _edge_lines, _pairs, _real
 
 __all__ = [
     "NOISES",
@@ -82,7 +82,7 @@ def random_dag(p: int, s: float, rng: np.random.Generator) -> Dag:
 
     The expected degree of the result is (p - 1) * s.
     """
-    if not 0.0 <= s <= 1.0:
+    if not 0.0 <= _real(s, "edge probability") <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {s}")
     p = _count(p, "node count", 1)
     pairs = _pairs(p)

@@ -45,6 +45,13 @@ def test_config_validation():
         TestConfig("fisher_z", alpha=0.05, gamma=0.1)
     with pytest.raises(ValueError):
         TestConfig("fisher_z", method="tetrachoric", alpha=0.05)
+    # graph._real: a bool would run as 0 or 1 and be echoed as such; NumPy floats are numbers
+    TestConfig("fisher_z", alpha=np.float64(0.05))
+    for field, variant in (("gamma", "threshold"), ("alpha", "fisher_z")):
+        for bad in (True, "0.5", 0.5j):
+            with pytest.raises(ValueError) as exc:
+                TestConfig(variant, **{field: bad})
+            assert str(exc.value) == f"{field}: {bad!r} is not a number"
 
 
 def test_fisher_z_decide_basic():
@@ -552,7 +559,7 @@ def test_data_decider_agreement_with_oracle_is_reported():
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: gamma_threshold(100, -1, 1.0), ValueError, "conditioning size must be nonnegative, got -1"),
+        (lambda: gamma_threshold(100, -1, 1.0), ValueError, "conditioning size must be a nonnegative integer, got -1"),
         (lambda: CiDecider().decide(0, 1, ()), NotImplementedError, ""),  # a subclass answers queries
     ],
     ids=["gamma_negative_size", "base_decide"],

@@ -235,7 +235,7 @@ def test_main_rejects_bad_usage(tmp_path, capsys):
         (["simulate", "--config", str(tmp_path / "missing.ini"), "--out", out], "missing.ini"),
         (
             ["experiment", "--config", str(good), "--out", out, "--max-cond", "-1"],
-            "max_cond must be nonnegative",
+            "max_cond must be a nonnegative integer, got -1",
         ),
     ]
     capsys.readouterr()

@@ -73,10 +73,10 @@ def test_config_validation_errors():
     # one fault per config, with the exact message it raises
     bad_cases = [
         (dict(p_values=()), "need at least one p value"),
-        (dict(p_values=(1,)), "p must be at least 2, got 1"),
+        (dict(p_values=(1,)), "p_values must be an integer of at least 2, got 1"),
         (dict(p_values=(6, 6)), "duplicate p values"),
         (dict(n_values=()), "need at least one n value"),
-        (dict(n_values=(3,)), "n must be at least 4 for the z test, got 3"),
+        (dict(n_values=(3,)), "n_values must be an integer of at least 4, got 3"),
         (dict(n_values=(100, 100)), "duplicate n values"),
         (dict(degree=0.0), "expected degree must be positive, got 0.0"),
         (dict(degree=math.nan), "expected degree must be positive, got nan"),
@@ -106,23 +106,23 @@ def test_config_validation_errors():
             "log10 alpha -inf: fisher_z variant needs alpha in (0, 1), got 0.0",
         ),
         (dict(alpha_log10=(-1.0, -1.0)), "duplicate alpha values"),
-        (dict(replicates=0), "replicates must be at least 1, got 0"),
-        (dict(seed=-1), "seed must be nonnegative, got -1"),
-        (dict(max_cond=-2), "max_cond must be nonnegative, got -2"),
+        (dict(replicates=0), "replicates must be a positive integer, got 0"),
+        (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
+        (dict(max_cond=-2), "max_cond must be a nonnegative integer, got -2"),
         (dict(p_values=6), "p_values must be a tuple or list, got int"),
         (dict(alpha_log10=-2.0), "alpha_log10 must be a tuple or list, got float"),
         (dict(regimes="f11"), "regimes must be a tuple or list, got str"),  # not read letter by letter
         (dict(methods="kendall"), "methods must be a tuple or list, got str"),
-        (dict(p_values=(6.5,)), "p_values: 6.5 is not an integer"),  # else every replicate fails to sample
-        (dict(p_values=(6, True)), "p_values: True is not an integer"),
-        (dict(n_values=(100.5,)), "n_values: 100.5 is not an integer"),
-        (dict(n_values=(100, 200.0)), "n_values: 200.0 is not an integer"),
-        (dict(replicates=True), "replicates: True is not an integer"),  # else it runs one replicate
-        (dict(replicates=2.0), "replicates: 2.0 is not an integer"),
-        (dict(seed=1.5), "seed: 1.5 is not an integer"),
-        (dict(seed=False), "seed: False is not an integer"),
-        (dict(max_cond=1.5), "max_cond: 1.5 is not an integer"),  # else it acts as 1
-        (dict(max_cond=True), "max_cond: True is not an integer"),
+        (dict(p_values=(6.5,)), "p_values must be an integer of at least 2, got 6.5"),  # else every replicate fails to sample
+        (dict(p_values=(6, True)), "p_values must be an integer of at least 2, got True"),
+        (dict(n_values=(100.5,)), "n_values must be an integer of at least 4, got 100.5"),
+        (dict(n_values=(100, 200.0)), "n_values must be an integer of at least 4, got 200.0"),
+        (dict(replicates=True), "replicates must be a positive integer, got True"),  # else it runs one replicate
+        (dict(replicates=2.0), "replicates must be a positive integer, got 2.0"),
+        (dict(seed=1.5), "seed must be a nonnegative integer, got 1.5"),
+        (dict(seed=False), "seed must be a nonnegative integer, got False"),
+        (dict(max_cond=1.5), "max_cond must be a nonnegative integer, got 1.5"),  # else it acts as 1
+        (dict(max_cond=True), "max_cond must be a nonnegative integer, got True"),
     ]
     for fault, message in bad_cases:
         with pytest.raises(ConfigError) as exc:

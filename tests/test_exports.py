@@ -45,3 +45,27 @@ def test_every_private_module_name_has_a_user_in_the_package():
                     used.add(name)
     assert len(defined) > 20
     assert sorted(f"{module}:{name}" for name, module in defined.items() if name not in used) == []
+
+
+def test_the_integer_and_real_rules_are_written_once():
+    # numbers.Integral and numbers.Real are read only inside graph._count and graph._real, and operator.index
+    # (which takes True as 1) nowhere, so every count, node index and real number passes one rule
+    banned = {"numbers": {"Integral", "Real"}, "operator": {"index"}}
+    found = []
+    for path in sorted(Path(rankpc.__file__).parent.glob("*.py")):
+        home = path.name == "graph.py"
+        for stmt in ast.parse(path.read_text()).body:
+            if home and getattr(stmt, "name", None) in ("_count", "_real"):
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names} & banned.get(node.module, set())
+                    names -= banned["numbers"] if home else set()  # imported there for the two rules
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    names = {node.attr} & banned.get(node.value.id, set())
+                elif isinstance(node, ast.Name):
+                    names = {node.id} & banned["numbers"]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}: {name}" for name in sorted(names)]
+    assert found == []

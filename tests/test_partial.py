@@ -342,8 +342,8 @@ ASYMMETRIC, INDEFINITE, ZERO = np.array([[1.0, 0.5], [0.4, 1.0]]), np.array([[1.
     "check, args, message",
     [
         (min_nonzero_partial_corr, (np.eye(1),), "need at least 2 variables, got p=1"),
-        (min_submatrix_eigenvalue, (np.eye(3), 0), "q must be in 1..3, got 0"),
-        (min_submatrix_eigenvalue, (np.eye(3), 4), "q must be in 1..3, got 4"),
+        (min_submatrix_eigenvalue, (np.eye(3), 0), "q must be an integer in 1..3, got 0"),
+        (min_submatrix_eigenvalue, (np.eye(3), 4), "q must be an integer in 1..3, got 4"),
         (inverse_error_bound_holds, (np.ones((2, 3)), ZERO, 0.1), "sigma must be square, got shape (2, 3)"),
         (inverse_error_bound_holds, (np.eye(2), np.full((2, 2), np.inf), 0.1), "err contains non-finite entries"),
         (inverse_error_bound_holds, (np.eye(3), ZERO, 0.1), "shape mismatch: (3, 3) vs (2, 2)"),

@@ -6,12 +6,18 @@ from numpy.linalg import _umath_linalg
 from hypothesis import given, settings, strategies as st
 
 import rankpc.partial
-from rankpc.citest import CiDecider, OracleDecider, RankCiDecider, TestConfig
+from rankpc.citest import CiDecider, OracleDecider, RankCiDecider, TestConfig, gamma_threshold
 from rankpc.cli import cmd_oracle_check
-from rankpc.correlation import estimate_correlation_matrix
+from rankpc.correlation import estimate_correlation_matrix, estimation_tail_bound
 from rankpc.experiment import ExperimentConfig, run_experiment
-from rankpc.graph import Dag, EdgeState, Pdag, cpdag, meek_closure, skeleton
-from rankpc.partial import PartialCorrelations
+from rankpc.graph import Dag, EdgeState, Pdag, cpdag, meek_closure, node_set, skeleton
+from rankpc.partial import (
+    BoundInputs,
+    PartialCorrelations,
+    min_nonzero_partial_corr,
+    min_submatrix_eigenvalue,
+    rank_pc_error_bound,
+)
 from rankpc.pc import PcResult, orient_colliders, pc_result_to_text, pc_skeleton, run_pc
 from rankpc.simulate import SemModel, random_dag, random_weights, sample_sem
 
@@ -501,11 +507,13 @@ def test_run_pc_with_threshold_decider_on_exact_sigma():
 
 
 def _count_sites():
-    """Each entry point that takes a count: (call of the count, what it counts, its kind, a good count)."""
+    """Each entry point that takes a count or a node index:
+    (call of the value, what it names, the rule, a good value, a value out of range)."""
     dag = Dag(4, [(0, 1), (2, 1), (1, 3)])
     model = SemModel(dag, random_weights(dag, np.random.default_rng(3)))
     tiny = ExperimentConfig(p_values=(4,), n_values=(50,), degree=1.0, methods=("spearman",),
                             alpha_log10=(-2.0,), replicates=1)
+    sigma = np.full((4, 4), 0.3) + 0.7 * np.eye(4)
 
     def decider(n):
         dec = RankCiDecider(np.eye(3), n, TestConfig("fisher_z", alpha=0.05))
@@ -515,35 +523,77 @@ def _count_sites():
         res = run_pc(OracleDecider(dag), p)
         return res.pdag, type(res.pdag.p)
 
+    def edge(v):
+        d = Dag(4, [(0, v)])
+        return d, {type(x) for e in d.edges for x in e}
+
+    def bound(**k):
+        inputs = BoundInputs(**dict(dict(a=2.0, b=0.5, p=10, n=500, q=4, c=0.3, lam=0.5), **k))
+        return rank_pc_error_bound(inputs), {type(inputs.p), type(inputs.n), type(inputs.q)}
+
+    def config(**k):
+        return ExperimentConfig(**dict(dict(p_values=(4,), n_values=(50,), degree=1.0), **k))
+
     return {
-        "Dag": (lambda k: (Dag(k, [(0, 1)]), type(Dag(k).p)), "node count", "positive", 3),
-        "Pdag": (lambda k: (Pdag(k, {(0, 1): EdgeState.UNDIRECTED}), type(Pdag(k).p)), "node count", "positive", 3),
-        "pc_skeleton.p": (lambda k: pc_skeleton(OracleDecider(dag), k), "node count", "positive", 4),
+        "Dag": (lambda k: (Dag(k, [(0, 1)]), type(Dag(k).p)), "node count", "a positive integer", 3, 0),
+        "Pdag": (
+            lambda k: (Pdag(k, {(0, 1): EdgeState.UNDIRECTED}), type(Pdag(k).p)), "node count", "a positive integer", 3, 0,
+        ),
+        "pc_skeleton.p": (lambda k: pc_skeleton(OracleDecider(dag), k), "node count", "a positive integer", 4, 0),
         "pc_skeleton.max_cond": (
-            lambda k: pc_skeleton(OracleDecider(dag), 4, max_cond=k), "max_cond", "nonnegative", 1,
+            lambda k: pc_skeleton(OracleDecider(dag), 4, max_cond=k), "max_cond", "a nonnegative integer", 1, -1,
         ),
-        "run_pc": (fit, "node count", "positive", 4),
-        "random_dag": (lambda k: random_dag(k, 0.5, np.random.default_rng(0)), "node count", "positive", 5),
+        "run_pc": (fit, "node count", "a positive integer", 4, 0),
+        "random_dag": (
+            lambda k: random_dag(k, 0.5, np.random.default_rng(0)), "node count", "a positive integer", 5, 0,
+        ),
         "sample_sem": (
-            lambda k: sample_sem(model, k, np.random.default_rng(0)).values.tobytes(), "sample size", "positive", 9,
+            lambda k: sample_sem(model, k, np.random.default_rng(0)).values.tobytes(),
+            "sample size", "a positive integer", 9, 0,
         ),
-        "RankCiDecider": (decider, "sample size", "positive", 100),
+        "RankCiDecider": (decider, "sample size", "a positive integer", 100, 0),
         "run_experiment": (
             lambda k: [replace(r, runtime_ms=0.0) for r in run_experiment(tiny, threads=k).records],
-            "threads", "positive", 1,
+            "threads", "a positive integer", 1, 0,
         ),
-        "cmd_oracle_check": (lambda k: cmd_oracle_check(4, k, seed=0), "trials", "nonnegative", 3),
+        "cmd_oracle_check": (lambda k: cmd_oracle_check(4, k, seed=0), "trials", "a nonnegative integer", 3, -1),
+        "cmd_oracle_check.p_max": (lambda k: cmd_oracle_check(k, 3, seed=0), "p_max", "an integer in 1..8", 4, 9),
+        "cmd_oracle_check.seed": (lambda k: cmd_oracle_check(4, 3, seed=k), "seed", "a nonnegative integer", 5, -1),
+        "Dag.edge": (edge, "node index", "an integer in 0..3", 3, 4),
+        "Dag.parents": (dag.parents, "node index", "an integer in 0..3", 1, 4),
+        "Pdag.pair": (
+            lambda k: Pdag(4, {(0, k): EdgeState.FORWARD}), "node index", "an integer in 0..3", 2, 4,
+        ),
+        "Pdag.state": (lambda k: cpdag(dag).state(k, 1), "node index", "an integer in 0..3", 2, -1),
+        "node_set": (lambda k: node_set([3, k], 4), "node index", "an integer in 0..3", 1, 4),
+        "gamma_threshold.n": (lambda k: gamma_threshold(k, 1, 2.0), "sample size", "an integer of at least 5", 100, 4),
+        "gamma_threshold.s_size": (
+            lambda k: gamma_threshold(100, k, 2.0), "conditioning size", "a nonnegative integer", 2, -1,
+        ),
+        "estimation_tail_bound": (
+            lambda k: estimation_tail_bound("kendall", k, 0.3), "sample size", "a positive integer", 100, 0,
+        ),
+        "min_nonzero_partial_corr": (lambda k: min_nonzero_partial_corr(sigma, k), "q", "an integer in 2..4", 3, 5),
+        "min_submatrix_eigenvalue": (lambda k: min_submatrix_eigenvalue(sigma, k), "q", "an integer in 1..4", 2, 0),
+        "BoundInputs.p": (lambda k: bound(p=k), "p", "a positive integer", 10, 0),
+        "BoundInputs.n": (lambda k: bound(n=k), "n", "an integer of at least 5", 500, 4),
+        "BoundInputs.q": (lambda k: bound(q=k), "q", "an integer of at least 2", 4, 1),
+        "ExperimentConfig.p_values": (lambda k: config(p_values=(k,)), "p_values", "an integer of at least 2", 4, 1),
+        "ExperimentConfig.n_values": (lambda k: config(n_values=(k,)), "n_values", "an integer of at least 4", 50, 3),
+        "ExperimentConfig.replicates": (lambda k: config(replicates=k), "replicates", "a positive integer", 2, 0),
+        "ExperimentConfig.seed": (lambda k: config(seed=k), "seed", "a nonnegative integer", 1, -1),
+        "ExperimentConfig.max_cond": (lambda k: config(max_cond=k), "max_cond", "a nonnegative integer", 1, -1),
     }
 
 
 @pytest.mark.parametrize("site", list(_count_sites()))
 def test_every_count_takes_numpy_integers_and_rejects_the_rest(site):
-    # one rule, graph._count: any integral type but bool, read as the equal int
-    call, what, kind, good = _count_sites()[site]
+    # one rule, graph._count: any integral type but bool, in range, read as the equal int
+    call, what, rule, good, out_of_range = _count_sites()[site]
     want = call(good)
     assert call(np.int64(good)) == want
     assert call(np.int32(good)) == want
-    for bad in (True, 2.5, "3"):
+    for bad in (True, 2.5, "3", out_of_range):
         with pytest.raises(ValueError) as exc:
             call(bad)
-        assert str(exc.value) == f"{what} must be a {kind} integer, got {bad!r}"
+        assert str(exc.value) == f"{what} must be {rule}, got {bad!r}"

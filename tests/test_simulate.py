@@ -73,6 +73,10 @@ def test_random_dag_degenerate_densities():
         random_dag(5, 1.5, rng)
     with pytest.raises(ValueError):
         random_dag(0, 0.5, rng)
+    for bad in (True, "0.5"):  # True would draw the complete DAG
+        with pytest.raises(ValueError) as exc:
+            random_dag(5, bad, rng)
+        assert str(exc.value) == f"edge probability: {bad!r} is not a number"
 
 
 @settings(max_examples=150, deadline=None)
@@ -338,7 +342,7 @@ def test_sem_from_text_rejects_malformed():
         sem_from_text("p=2\n0 -> 1\n")
     with pytest.raises(ValueError):
         sem_from_text("p=2\n0 => 1 : 0.5\n")
-    with pytest.raises(ValueError, match=r"^edge \(0, 5\) out of range for p=2$"):
+    with pytest.raises(ValueError, match=r"^node index must be an integer in 0\.\.1, got 5$"):
         sem_from_text("p=2\n0 -> 5 : 0.5\n")
-    with pytest.raises(ValueError, match=r"^edge \(-1, 0\) out of range for p=2$"):
+    with pytest.raises(ValueError, match=r"^node index must be an integer in 0\.\.1, got -1$"):
         sem_from_text("p=2\n-1 -> 0 : 0.5\n")
